@@ -54,7 +54,7 @@ fi
 # write-capable Pmem trait there would let a "read" mutate.
 if grep -rnE '\bPmem\b' \
     crates/core/src/table/readview.rs crates/core/src/table/probe.rs \
-    crates/core/src/fpcache.rs crates/table/src/probe.rs crates/table/src/meta.rs \
+    crates/table/src/probe.rs crates/table/src/meta.rs \
     | strip_comments | grep .; then
   echo "layering violation: read-path modules must not name the write-capable pmem trait" >&2
   lint_fail=1
@@ -127,8 +127,7 @@ echo "==> occupancy-commit lint (CAS protocol has one owner)"
 # bulk load commits whole precomputed words while holding the table
 # exclusively.)
 if grep -rnE 'set_and_persist|set_volatile|cas_bit_and_persist|atomic_write[^(]*word_off' \
-    crates/core/src/table crates/core/src/concurrent.rs crates/core/src/resize.rs \
-    crates/core/src/fpcache.rs \
+    crates/core/src/table crates/core/src/concurrent.rs \
     | strip_comments | grep .; then
   echo "occupancy lint: core scheme paths must commit occupancy via the cell store" >&2
   exit 1
@@ -156,16 +155,17 @@ if grep -n 'record_displacement(' crates/baselines/src/iceberg.rs \
 fi
 
 echo "==> online-expansion shape lint"
-# Expansion must stay incremental: the resizer drains through the
-# bounded migration cursor (migrate_step), never by re-inserting a full
-# table scan (for_each_entry = the old stop-the-world rebuild), and the
-# sharded table must expose the bounded drainer (expand_step).
-if grep -q "for_each_entry" crates/core/src/resize.rs; then
-  echo "expansion lint: resize.rs regressed to a stop-the-world rebuild" >&2
+# Expansion has one driver, ShardedGroupHash's online drain, and it must
+# stay incremental: it drains through the bounded migration cursor
+# (migrate_step), never by re-inserting a full table scan
+# (for_each_entry = a stop-the-world rebuild), and exposes the bounded
+# drainer (expand_step).
+if grep -q "for_each_entry" crates/core/src/concurrent.rs; then
+  echo "expansion lint: concurrent.rs regressed to a stop-the-world rebuild" >&2
   exit 1
 fi
-grep -q "migrate_step" crates/core/src/resize.rs || {
-  echo "expansion lint: resize.rs no longer uses the bounded migration drainer" >&2
+grep -q "migrate_step" crates/core/src/concurrent.rs || {
+  echo "expansion lint: concurrent.rs no longer uses the bounded migration drainer" >&2
   exit 1
 }
 grep -q "expand_step" crates/core/src/concurrent.rs || {
@@ -173,11 +173,24 @@ grep -q "expand_step" crates/core/src/concurrent.rs || {
   exit 1
 }
 
+echo "==> one-seqlock lint (a single sequence-lock implementation)"
+# Every optimistic reader validates against nvm-table's SeqLock. A
+# second backoff loop or a hand-rolled bump of a sequence word elsewhere
+# would fork the write-guard / read-validate protocol again.
+if grep -rnE 'fn backoff|\bseq(\.0)?\.fetch_add' crates --include='*.rs' \
+    | grep -v '^crates/table/src/seqlock.rs:' | strip_comments | grep .; then
+  echo "seqlock lint: sequence-lock logic must live only in crates/table/src/seqlock.rs" >&2
+  exit 1
+fi
+
 echo "==> server loopback smoke test (ephemeral port, scripted session, clean shutdown)"
 # Boots the real TCP server over a Store on 127.0.0.1:0, runs a scripted
 # set/get/multi-get/gets/delete/stats/quit session, and requires every
 # thread to join on shutdown.
 cargo test -q -p nvm-server --test smoke
+
+echo "==> perfbench smoke tests (its own workspace, release)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo bench --no-run (benches must compile)"
 cargo bench --no-run --workspace

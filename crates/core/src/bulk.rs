@@ -68,9 +68,6 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         let gs = config.group_size;
         let plan = self.plan();
         let words = n.div_ceil(64) as usize;
-        // Detached so placements can record tags while `self.slot_of`
-        // borrows the table; restored right after the placement loop.
-        let mut fp = self.take_fp();
 
         // Snapshot the current occupancy into DRAM.
         let mut ov = Overlay {
@@ -93,8 +90,8 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             if !Overlay::get(&ov.level1, k) {
                 cells1.write_entry(pm, k, &key, &value);
                 Overlay::set(&mut ov.level1, &mut ov.dirty1, k);
-                if let Some(fp) = &mut fp {
-                    fp.set(0, k, self.fp_tag(&key));
+                if let Some(fp) = self.fp_words() {
+                    fp[0].set(k, self.fp_tag(&key));
                 }
                 loaded += 1;
                 continue;
@@ -105,8 +102,8 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
                 if !Overlay::get(&ov.level2, idx) {
                     cells2.write_entry(pm, idx, &key, &value);
                     Overlay::set(&mut ov.level2, &mut ov.dirty2, idx);
-                    if let Some(fp) = &mut fp {
-                        fp.set(1, idx, self.fp_tag(&key));
+                    if let Some(fp) = self.fp_words() {
+                        fp[1].set(idx, self.fp_tag(&key));
                     }
                     loaded += 1;
                     placed = true;
@@ -117,7 +114,6 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
                 rejected += 1;
             }
         }
-        self.put_fp(fp);
 
         // Phase 2: make every written cell durable. Persist the cell span
         // covered by each dirty bitmap word (64 cells per word).

@@ -59,10 +59,10 @@ use nvm_metrics::{ConcurrencyCounters, ConcurrencySnapshot, SchemeInstrumentatio
 use nvm_pmem::{Pmem, Region};
 use nvm_table::{
     migrate_recover_split, migrate_step, BatchError, HashScheme, InsertError, MigrationSource,
-    TableError,
+    SeqLock, SeqWriteGuard, TableError,
 };
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Entries drained from a shard's old table per exclusive operation while
 /// an expansion is in flight.
@@ -99,10 +99,10 @@ struct Views<K: HashKey, V: Pod, RH> {
 type ShardViews<P, K, V> = Views<K, V, <P as Pmem>::ReadHandle>;
 
 struct Shard<P: Pmem, K: HashKey, V: Pod> {
-    /// Seqlock generation: even = no exclusive writer, odd = an
-    /// exclusive-latch operation is mutating. CAS-path writers never bump
-    /// it (their commits are atomic; readers revalidate hits).
-    seq: AtomicU64,
+    /// Odd while an exclusive-latch operation is mutating. CAS-path
+    /// writers never bump it (their commits are atomic; readers
+    /// revalidate hits).
+    seq: SeqLock,
     inner: RwLock<ShardInner<P, K, V>>,
     /// Current reader snapshot (owned `Box` leaked into the pointer).
     views: AtomicPtr<ShardViews<P, K, V>>,
@@ -134,34 +134,12 @@ pub struct ShardedGroupHash<P: Pmem, K: HashKey, V: Pod> {
     make_pool: Mutex<Box<dyn FnMut(usize, usize) -> P + Send>>,
 }
 
-/// RAII exclusive writer section: entered with the shard write latch held
-/// and the sequence bumped to odd; restores even on drop (panic-safe).
-struct SeqWriteGuard<'a, P: Pmem, K: HashKey, V: Pod> {
-    seq: &'a AtomicU64,
+/// An exclusive writer section: the shard write latch plus an open
+/// seqlock write. `_seq` is declared first so it drops first — the
+/// sequence returns to even while the latch is still held.
+struct ShardWriteGuard<'a, P: Pmem, K: HashKey, V: Pod> {
+    _seq: SeqWriteGuard<'a>,
     inner: RwLockWriteGuard<'a, ShardInner<P, K, V>>,
-}
-
-impl<P: Pmem, K: HashKey, V: Pod> Drop for SeqWriteGuard<'_, P, K, V> {
-    fn drop(&mut self) {
-        // Order every mutation before the even-publish: a reader that
-        // sees the new (even) sequence also sees the writes.
-        fence(Ordering::SeqCst);
-        self.seq.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Retry backoff for optimistic readers: a short spin (the writer is
-/// usually mid-publish for nanoseconds), then yield — on few-core
-/// machines a descheduled writer would otherwise leave the reader
-/// spinning out its whole timeslice against a stuck-odd sequence.
-#[inline]
-fn backoff(spins: &mut u32) {
-    if *spins < 64 {
-        *spins += 1;
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
 }
 
 impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
@@ -197,7 +175,7 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
                 draining: None,
             });
             shards.push(Shard {
-                seq: AtomicU64::new(0),
+                seq: SeqLock::new(),
                 inner: RwLock::new(ShardInner {
                     pm,
                     table,
@@ -246,7 +224,7 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
 
     /// Takes the shard latch exclusively and bumps the sequence to odd,
     /// so concurrent readers retry instead of trusting in-flight state.
-    fn write_shard(&self, i: usize) -> SeqWriteGuard<'_, P, K, V> {
+    fn write_shard(&self, i: usize) -> ShardWriteGuard<'_, P, K, V> {
         let shard = &self.shards[i];
         let inner = match shard.inner.try_write() {
             Some(g) => g,
@@ -255,11 +233,8 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
                 shard.inner.write()
             }
         };
-        shard.seq.fetch_add(1, Ordering::AcqRel);
-        // Order the odd-publish before the mutation's first write.
-        fence(Ordering::SeqCst);
-        SeqWriteGuard {
-            seq: &shard.seq,
+        ShardWriteGuard {
+            _seq: shard.seq.write(),
             inner,
         }
     }
@@ -309,7 +284,8 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
         while inner.draining.is_some() {
             self.step_migration(i, inner, u64::MAX);
         }
-        let new_cfg = inner.table.doubled_config();
+        let mut new_cfg = *inner.table.config();
+        new_cfg.cells_per_level *= 2;
         let size = GroupHash::<P, K, V>::required_size(&new_cfg);
         let mut factory = self.make_pool.lock();
         let mut pm = (*factory)(i, size);
@@ -439,30 +415,17 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
     /// revalidates per hit, so reads stay wait-free under them.
     pub fn get(&self, key: &K) -> Option<V> {
         let shard = &self.shards[self.shard_of(key)];
-        let mut spins = 0u32;
-        loop {
-            let s1 = shard.seq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                // An exclusive writer is mid-mutation; don't bother.
-                self.counters.note_seqlock_retry();
-                backoff(&mut spins);
-                continue;
-            }
+        let (v, retries) = shard.seq.read(|| {
             let views = unsafe { &*shard.views.load(Ordering::Acquire) };
-            let v = views.active.0.get(&views.active.1, key).or_else(|| {
+            views.active.0.get(&views.active.1, key).or_else(|| {
                 views
                     .draining
                     .as_ref()
                     .and_then(|(vw, rh)| vw.get(rh, key))
-            });
-            // Order the probe's loads before the validation load.
-            fence(Ordering::Acquire);
-            if shard.seq.load(Ordering::Relaxed) == s1 {
-                return v;
-            }
-            self.counters.note_seqlock_retry();
-            backoff(&mut spins);
-        }
+            })
+        });
+        self.counters.note_seqlock_retries(retries);
+        v
     }
 
     /// Looks up every key without taking any lock, returning one answer
@@ -488,14 +451,7 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
                 pos += 1;
             }
             let shard = &self.shards[shard_no as usize];
-            let mut spins = 0u32;
-            loop {
-                let s1 = shard.seq.load(Ordering::Acquire);
-                if s1 & 1 == 1 {
-                    self.counters.note_seqlock_retry();
-                    backoff(&mut spins);
-                    continue;
-                }
+            let ((), retries) = shard.seq.read(|| {
                 let views = unsafe { &*shard.views.load(Ordering::Acquire) };
                 views
                     .active
@@ -508,14 +464,8 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
                         }
                     }
                 }
-                // Order the probes' loads before the validation load.
-                fence(Ordering::Acquire);
-                if shard.seq.load(Ordering::Relaxed) == s1 {
-                    break;
-                }
-                self.counters.note_seqlock_retry();
-                backoff(&mut spins);
-            }
+            });
+            self.counters.note_seqlock_retries(retries);
             for (i, v) in answers.iter().enumerate() {
                 out[order[run_start + i].1 as usize] = *v;
             }
@@ -860,7 +810,7 @@ mod tests {
             assert!(t.remove(&k));
         }
         for s in &t.shards {
-            assert_eq!(s.seq.load(Ordering::Relaxed) & 1, 0);
+            assert_eq!(s.seq.sequence() & 1, 0);
         }
         // No readers raced any exclusive writer in this test.
         assert_eq!(t.concurrency().seqlock_retries, 0);
@@ -1157,21 +1107,53 @@ mod tests {
 
     #[test]
     fn shards_grow_online_past_initial_capacity() {
-        let t = build_small(2);
+        use crate::config::{ChoiceMode, FpMode};
         // 2 shards × 128 cells: 2000 keys force several doublings each.
-        for k in 0..2000u64 {
-            t.insert(k, k * 3).unwrap();
+        // The fingerprint and two-choice knobs must survive every
+        // doubling, and the tag words must stay in step through growth
+        // plus removes (check_consistency includes verify_fp_cache).
+        let base = GroupHashConfig::new(64, 16);
+        for cfg in [
+            base,
+            base.with_fp_mode(FpMode::On),
+            base.with_choice(ChoiceMode::TwoChoice),
+        ] {
+            let t: ShardedGroupHash<SimPmem, u64, u64> =
+                ShardedGroupHash::create(2, cfg, |_, size| {
+                    SimPmem::new(size, SimConfig::fast_test())
+                })
+                .unwrap();
+            for k in 0..2000u64 {
+                t.insert(k, k * 3).unwrap();
+            }
+            assert_eq!(t.len(), 2000);
+            for k in 0..2000u64 {
+                assert_eq!(t.get(&k), Some(k * 3), "key {k}");
+            }
+            assert!(t.concurrency().migration_steps > 0, "growth must migrate");
+            // Removes and in-place updates, possibly mid-drain.
+            for k in (0..2000u64).step_by(3) {
+                assert!(t.remove(&k), "key {k}");
+                assert!(t.update_in_place(&(k + 1), k + 9000), "key {}", k + 1);
+            }
+            // Finish any pending drains, then verify consistency everywhere.
+            for si in 0..t.shard_count() {
+                while t.expand_step(si, u64::MAX) {}
+                let g = t.read_inner(si);
+                assert!(g.table.config().cells_per_level > 64, "shard {si} grew");
+                assert_eq!(g.table.config().fp, cfg.fp);
+                assert_eq!(g.table.config().choice, cfg.choice);
+            }
+            for k in 0..2000u64 {
+                let want = match k % 3 {
+                    0 => None,
+                    1 => Some(k + 8999),
+                    _ => Some(k * 3),
+                };
+                assert_eq!(t.get(&k), want, "key {k}");
+            }
+            t.check_consistency().unwrap();
         }
-        assert_eq!(t.len(), 2000);
-        for k in 0..2000u64 {
-            assert_eq!(t.get(&k), Some(k * 3), "key {k}");
-        }
-        assert!(t.concurrency().migration_steps > 0, "growth must migrate");
-        // Finish any pending drains, then verify consistency everywhere.
-        for si in 0..t.shard_count() {
-            while t.expand_step(si, u64::MAX) {}
-        }
-        t.check_consistency().unwrap();
     }
 
     #[test]

@@ -22,14 +22,13 @@ pub use readview::GroupReadView;
 pub use shared::{SharedCommit, TableClaims};
 
 use crate::config::{CommitStrategy, CountMode, FpMode, GroupHashConfig};
-use crate::fpcache::FpCache;
 use nvm_hashfn::{HashKey, HashPair, Pod};
 use nvm_metrics::SchemeInstrumentation;
 use nvm_pmem::{Pmem, Region, RegionAllocator, CACHELINE};
 use nvm_table::probe::GroupPlan;
 use nvm_table::{
     BatchError, CellArray, CellStore, ConsistencyMode, HashScheme, InsertError, Journal,
-    PmemBitmap, TableError, TableHeader,
+    MetaWords, PmemBitmap, TableError, TableHeader,
 };
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +48,7 @@ enum Level {
 }
 
 impl Level {
-    /// The [`FpCache`] array index for this level.
+    /// The fingerprint tag-word array index for this level.
     #[inline]
     fn idx(self) -> usize {
         match self {
@@ -87,9 +86,10 @@ pub struct GroupHash<P: Pmem, K: HashKey, V: Pod> {
     /// CAS write path can maintain it through `&self`; exclusive paths
     /// use plain load/store (they own the table).
     volatile_count: AtomicU64,
-    /// DRAM-resident fingerprint tags for [`FpMode::On`]; never persisted,
-    /// rebuilt from bitmaps + cells on `open`/`recover`.
-    fp: Option<FpCache>,
+    /// DRAM-resident fingerprint tags for [`FpMode::On`], one tag word
+    /// array per level; never persisted, rebuilt from bitmaps + cells on
+    /// `open`/`recover` (see [`GroupHash::fp_tag`]).
+    fp: Option<[MetaWords; 2]>,
     /// Probe/occupancy/displacement recording. Derived purely from
     /// arithmetic the operations already do — recording never touches the
     /// pool, so instrumented runs report identical `PmemStats`.
@@ -137,7 +137,11 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             store2: CellStore::attach(b2, c2, n),
             journal: Journal::open(consistency_of(config.commit), log_r),
             volatile_count: AtomicU64::new(0),
-            fp: (config.fp == FpMode::On).then(|| FpCache::new(n)),
+            // Padded to a multiple of 64 cells, so a group scan's tag-word
+            // loads stay in bounds on tiny tables (padding lanes are never
+            // candidates: their occupancy bits are always clear).
+            fp: (config.fp == FpMode::On)
+                .then(|| [(); 2].map(|_| MetaWords::new(n.next_multiple_of(64)))),
             #[cfg(feature = "instrument")]
             instr: SchemeInstrumentation::new(config.group_size as usize),
             region,
@@ -415,15 +419,9 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         self.group_of_l2(idx)
     }
 
-    /// Detaches the fingerprint cache so bulk operations can update tags
-    /// while iterating with `&self` accessors (NLL-friendly); pair with
-    /// [`GroupHash::put_fp`].
-    pub(crate) fn take_fp(&mut self) -> Option<FpCache> {
-        self.fp.take()
-    }
-
-    pub(crate) fn put_fp(&mut self, fp: Option<FpCache>) {
-        self.fp = fp;
+    /// The per-level fingerprint tag words (`None` under `FpMode::Off`).
+    pub(crate) fn fp_words(&self) -> Option<&[MetaWords; 2]> {
+        self.fp.as_ref()
     }
 }
 

@@ -11,6 +11,7 @@ use crate::config::{CountMode, ProbeLayout};
 use nvm_hashfn::{HashKey, Pod};
 use nvm_pmem::{Pmem, PmemRead};
 use nvm_table::probe::{match_bits, Selection};
+use nvm_table::meta::META_LANES;
 use nvm_table::{BatchError, BatchSession, InsertError};
 
 impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
@@ -118,7 +119,8 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
                             while sub < 64 {
                                 let occ = word >> sub & 0xFF;
                                 if occ != 0 {
-                                    let tags = fp.word(Level::Two.idx(), word_base + sub);
+                                    let bucket = (word_base + sub) / META_LANES;
+                                    let tags = fp[Level::Two.idx()].word(bucket);
                                     let cand = match_bits(tags, tag) & occ;
                                     let mut c = cand;
                                     while c != 0 {
@@ -182,7 +184,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
                     examined += 1;
                     if let Some(tag) = tag {
                         let fp = self.fp.as_ref().expect("tag implies cache");
-                        if fp.get(Level::Two.idx(), idx) != tag {
+                        if fp[Level::Two.idx()].tag(idx) != tag {
                             self.note_fp(1, 0, 0);
                             continue;
                         }
@@ -447,7 +449,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         pm.prefetch(self.store1.bitmap.word_off_of(k), 8);
         if let Some(tag) = tag {
             let fp = self.fp.as_ref().expect("tag implies cache");
-            if fp.get(Level::One.idx(), k) != tag {
+            if fp[Level::One.idx()].tag(k) != tag {
                 return;
             }
         }
@@ -500,7 +502,8 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             while sub < 64 {
                 let occ = word >> sub & 0xFF;
                 if occ != 0 {
-                    let tags = fp.word(Level::Two.idx(), word_base + sub);
+                    let bucket = (word_base + sub) / META_LANES;
+                    let tags = fp[Level::Two.idx()].word(bucket);
                     cand |= (match_bits(tags, tag) & occ) << sub;
                 }
                 sub += 8;
@@ -525,7 +528,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         }
         if let Some(tag) = tag {
             let fp = self.fp.as_ref().expect("tag implies cache");
-            if fp.get(Level::One.idx(), k) != tag {
+            if fp[Level::One.idx()].tag(k) != tag {
                 self.note_fp(1, 0, 0);
                 return false;
             }

@@ -184,7 +184,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             let store = self.level_store(level);
             let fp_hook = || {
                 if let Some(fp) = &self.fp {
-                    fp.set(level.idx(), idx, self.fp_tag(&key));
+                    fp[level.idx()].set(idx, self.fp_tag(&key));
                 }
             };
             match store.try_publish(w, claims.of(level), idx, &key, &value, fp_hook) {
@@ -221,7 +221,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             let store = self.level_store(level);
             let fp_hook = || {
                 if let Some(fp) = &self.fp {
-                    fp.clear(level.idx(), idx);
+                    fp[level.idx()].clear(idx);
                 }
             };
             match store.try_retract(w, claims.of(level), idx, key, fp_hook) {

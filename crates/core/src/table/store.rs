@@ -19,7 +19,7 @@ use super::{GroupHash, Level};
 use crate::config::CountMode;
 use nvm_hashfn::{HashKey, Pod};
 use nvm_pmem::Pmem;
-use nvm_table::{BatchSession, TableError};
+use nvm_table::{BatchSession, MetaWords, TableError};
 
 impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// Sets the count to an absolute value with the usual atomic+persist
@@ -52,7 +52,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         let store = self.level_store(level);
         sess.stage_publish(pm, &mut self.journal, store, idx, key, value);
         if let Some(fp) = &self.fp {
-            fp.set(level.idx(), idx, self.fp_tag(key));
+            fp[level.idx()].set(idx, self.fp_tag(key));
         }
     }
 
@@ -73,7 +73,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         let store = self.level_store(level);
         sess.stage_retract(pm, &mut self.journal, store, idx);
         if let Some(fp) = &self.fp {
-            fp.clear(level.idx(), idx);
+            fp[level.idx()].clear(idx);
         }
     }
 
@@ -109,7 +109,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// reading one key per occupied cell.
     pub(super) fn rebuild_fp_cache(&mut self, pm: &P) {
         let Some(fp) = &self.fp else { return };
-        fp.reset();
+        fp.iter().for_each(MetaWords::reset);
         let n = self.config.cells_per_level;
         for level in [Level::One, Level::Two] {
             let store = self.level_store(level);
@@ -119,7 +119,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
                 while word != 0 {
                     let idx = base + word.trailing_zeros() as u64;
                     let tag = self.fp_tag(&store.cells.read_key(pm, idx));
-                    fp.set(level.idx(), idx, tag);
+                    fp[level.idx()].set(idx, tag);
                     word &= word - 1;
                 }
                 base += 64;
@@ -140,7 +140,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
                     continue;
                 }
                 let want = self.fp_tag(&store.read_key(pm, i));
-                let got = fp.get(level.idx(), i);
+                let got = fp[level.idx()].tag(i);
                 if got != want {
                     return Err(TableError::Corrupt(format!(
                         "fingerprint cache stale at level {}/cell {i}: \

@@ -321,6 +321,30 @@ fn fingerprint_mode_behaves_identically() {
 }
 
 #[test]
+fn fingerprint_tags_cover_tables_smaller_than_one_tag_block() {
+    // cells_per_level < 64: the tag words are padded to 64 cells, so
+    // whole-word tag loads of a group scan stay in bounds.
+    let cfg = GroupHashConfig::new(16, 8).with_fp_mode(FpMode::On);
+    let (mut pm, mut t, _) = make_cfg(cfg);
+    let stored: Vec<u64> = (0..64u64)
+        .filter(|&k| t.insert(&mut pm, k, k + 1).is_ok())
+        .collect();
+    assert!(stored.len() > 16, "level 2 must take overflow: {stored:?}");
+    let keys: Vec<u64> = (0..64u64).collect();
+    let batch = t.get_batch(&pm, &keys);
+    for k in 0..64u64 {
+        let want = stored.contains(&k).then_some(k + 1);
+        assert_eq!(t.get(&pm, &k), want, "key {k}");
+        assert_eq!(batch[k as usize], want, "batched key {k}");
+    }
+    t.check_consistency(&pm).unwrap(); // includes verify_fp_cache
+    for &k in &stored {
+        assert!(t.remove(&mut pm, &k));
+    }
+    t.check_consistency(&pm).unwrap();
+}
+
+#[test]
 fn fingerprint_matches_off_mode_state() {
     // Same ops, fp on vs off: the NVM image must be bit-identical
     // (the cache is a pure accelerator).

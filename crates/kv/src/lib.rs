@@ -282,17 +282,9 @@ impl<P: Pmem> PmemKv<P> {
             + 576
     }
 
-    /// Creates a fresh store in `region`.
-    #[deprecated(note = "construct through the `Store` facade: `StoreBuilder::new(..).create(..)`")]
-    pub fn create(pm: &mut P, region: Region, config: &KvConfig) -> Result<Self, KvError> {
-        Self::create_impl(pm, region, config)
-    }
-
-    pub(crate) fn create_impl(
-        pm: &mut P,
-        region: Region,
-        config: &KvConfig,
-    ) -> Result<Self, KvError> {
+    /// Creates a fresh store in `region` (public construction goes
+    /// through the [`Store`] facade).
+    pub(crate) fn create(pm: &mut P, region: Region, config: &KvConfig) -> Result<Self, KvError> {
         let (header_r, index_r, heap_r) = Self::split(region, config)?;
         let index = GroupHash::create(pm, index_r, Self::index_config(config))
             .map_err(KvError::Table)?;
@@ -337,12 +329,7 @@ impl<P: Pmem> PmemKv<P> {
 
     /// Re-opens a store from its persisted header — no configuration
     /// needed.
-    #[deprecated(note = "construct through the `Store` facade: `StoreBuilder::new(..).open(..)`")]
-    pub fn open(pm: &mut P, region: Region) -> Result<Self, KvError> {
-        Self::open_impl(pm, region)
-    }
-
-    pub(crate) fn open_impl(pm: &mut P, region: Region) -> Result<Self, KvError> {
+    pub(crate) fn open(pm: &mut P, region: Region) -> Result<Self, KvError> {
         let config = Self::read_config(pm, region)?;
         let (_, index_r, heap_r) = Self::split(region, &config)?;
         let index = GroupHash::open(pm, index_r).map_err(KvError::Table)?;
@@ -837,9 +824,7 @@ impl KvReadView {
 #[cfg(test)]
 mod tests {
     // The engine tests exercise `PmemKv` directly, below the `Store`
-    // facade the deprecated constructors point users at.
-    #![allow(deprecated)]
-
+    // facade.
     use super::*;
     use nvm_pmem::{CrashResolution, SimConfig, SimPmem};
 

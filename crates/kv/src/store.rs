@@ -5,17 +5,16 @@
 //! and most applications want a *store*: a cloneable, thread-safe handle
 //! with `set`/`get`/`delete` (+ `*_batch`), built by a [`StoreBuilder`],
 //! failing with one typed [`StoreError`]. This module is that facade —
-//! and the only public construction path going forward (the engine's
-//! `create`/`open` constructors are deprecated in its favor).
+//! and the only public construction path.
 //!
 //! # Sharding and concurrency
 //!
 //! A store is `1..n` independent [`PmemKv`] pools ("shards"); keys route
-//! by hash. Each shard pairs a writer lock with a seqlock-validated
-//! lock-free read path (the [`ShardedGroupHash`] protocol, lifted to
-//! whole-store reads): readers probe a [`KvReadView`] through a shared
-//! [`PmemRead`] handle and retry iff the shard's sequence number moved —
-//! so `get`/`get_batch` never block behind writers.
+//! by hash. Each shard pairs a writer lock with a [`SeqLock`]-validated
+//! lock-free read path (the same primitive [`ShardedGroupHash`] uses,
+//! lifted to whole-store reads): readers probe a [`KvReadView`] through a
+//! shared [`PmemRead`] handle and retry iff the shard's sequence number
+//! moved — so `get`/`get_batch` never block behind writers.
 //!
 //! # Cross-caller group commit
 //!
@@ -41,15 +40,14 @@
 //! [`ShardedGroupHash`]: group_hash::ShardedGroupHash
 
 use crate::{KvConfig, KvError, KvReadView, PmemKv};
-use group_hash::FpMode;
 use nvm_alloc::{AllocError, FragStats};
 use nvm_hashfn::murmur3_x64_128;
 use nvm_metrics::{HeapCounters, Histogram, MetricsRegistry};
 use nvm_pmem::{Pmem, PmemStats, Region, SimConfig, SimPmem};
-use nvm_table::{ConsistencyMode, TableError};
+use nvm_table::{SeqLock, TableError};
 use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex};
 
@@ -198,26 +196,14 @@ struct ShardInner<P: Pmem> {
 }
 
 struct StoreShard<P: Pmem> {
-    /// Seqlock word: odd while a writer mutates, even when quiescent.
-    seq: AtomicU64,
+    /// Odd while a writer mutates, even when quiescent.
+    seq: SeqLock,
     inner: Mutex<ShardInner<P>>,
     staged: Mutex<StagedQueue>,
     /// Read-only lookup facade (valid across mutations; validated by
     /// `seq`).
     view: KvReadView,
     reader: P::ReadHandle,
-}
-
-/// Retry backoff for optimistic readers (spin briefly, then yield so a
-/// descheduled writer can finish on few-core machines).
-#[inline]
-fn backoff(spins: &mut u32) {
-    if *spins < 64 {
-        *spins += 1;
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
 }
 
 impl<P: Pmem> StoreShard<P> {
@@ -228,34 +214,25 @@ impl<P: Pmem> StoreShard<P> {
     /// of spinning forever (torn state they then observe degrades to
     /// misses via the view's torn-blob tolerance).
     fn with_write<T>(&self, f: impl FnOnce(&mut ShardInner<P>) -> T) -> T {
-        struct SeqGuard<'a>(&'a AtomicU64);
-        impl Drop for SeqGuard<'_> {
-            fn drop(&mut self) {
-                fence(Ordering::SeqCst);
-                self.0.fetch_add(1, Ordering::Release);
-            }
-        }
         let mut inner = self.inner.lock();
-        self.seq.fetch_add(1, Ordering::AcqRel);
-        fence(Ordering::SeqCst);
-        let _guard = SeqGuard(&self.seq);
+        // Declared after the latch, so it drops (sequence back to even)
+        // before the latch is released.
+        let _seq = self.seq.write();
         f(&mut inner)
     }
 
-    /// Seqlock-validated lock-free read.
-    fn read<T>(&self, f: impl Fn(&KvReadView, &P::ReadHandle) -> T) -> T {
-        let mut spins = 0u32;
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 0 {
-                let out = f(&self.view, &self.reader);
-                fence(Ordering::Acquire);
-                if self.seq.load(Ordering::Relaxed) == s1 {
-                    return out;
-                }
-            }
-            backoff(&mut spins);
+    /// Seqlock-validated lock-free read; retries are tallied into
+    /// `retries`.
+    fn read<T>(
+        &self,
+        retries: &AtomicU64,
+        f: impl Fn(&KvReadView, &P::ReadHandle) -> T,
+    ) -> T {
+        let (out, n) = self.seq.read(|| f(&self.view, &self.reader));
+        if n != 0 {
+            retries.fetch_add(n, Ordering::Relaxed);
         }
+        out
     }
 }
 
@@ -282,6 +259,7 @@ struct StoreCore<P: Pmem> {
     gets: AtomicU64,
     get_hits: AtomicU64,
     batches: AtomicU64,
+    seqlock_retries: AtomicU64,
     /// Committed group-commit sizes (ops per batch).
     batch_sizes: Histogram,
 }
@@ -305,7 +283,7 @@ impl<P: Pmem> Store<P> {
         let shards = shards
             .into_iter()
             .map(|(pm, kv)| StoreShard {
-                seq: AtomicU64::new(0),
+                seq: SeqLock::new(),
                 view: kv.read_view(),
                 reader: pm.read_handle(),
                 inner: Mutex::new(ShardInner { pm, kv }),
@@ -320,6 +298,7 @@ impl<P: Pmem> Store<P> {
                 gets: AtomicU64::new(0),
                 get_hits: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
+                seqlock_retries: AtomicU64::new(0),
                 batch_sizes: Histogram::exponential(1, 2, 14),
             }),
         }
@@ -344,7 +323,9 @@ impl<P: Pmem> Store<P> {
 
     /// Fetches `key`'s value without blocking behind writers.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let out = self.shard_of(key).read(|view, pm| view.get(pm, key));
+        let out = self
+            .shard_of(key)
+            .read(&self.core.seqlock_retries, |view, pm| view.get(pm, key));
         self.core.gets.fetch_add(1, Ordering::Relaxed);
         if out.is_some() {
             self.core.get_hits.fetch_add(1, Ordering::Relaxed);
@@ -372,8 +353,8 @@ impl<P: Pmem> Store<P> {
                 continue;
             }
             let subset: Vec<&[u8]> = idxs.iter().map(|&i| keys[i]).collect();
-            let answers =
-                self.core.shards[s].read(|view, pm| view.get_batch(pm, &subset));
+            let answers = self.core.shards[s]
+                .read(&self.core.seqlock_retries, |view, pm| view.get_batch(pm, &subset));
             for (&i, a) in idxs.iter().zip(answers) {
                 out[i] = a;
             }
@@ -651,6 +632,13 @@ impl<P: Pmem> Store<P> {
         }
     }
 
+    /// Optimistic reads (`get`/`get_batch`) that overlapped a shard's
+    /// write section and re-ran. A read-side tally, so unlike
+    /// [`Store::counters`] it is not aligned to commit boundaries.
+    pub fn seqlock_retries(&self) -> u64 {
+        self.core.seqlock_retries.load(Ordering::Relaxed)
+    }
+
     /// Distribution of committed group-commit sizes (ops per batch).
     pub fn batch_size_histogram(&self) -> &Histogram {
         &self.core.batch_sizes
@@ -842,7 +830,7 @@ impl<P: Pmem> StoreReadView<P> {
     }
 }
 
-/// Builds a [`Store`]: capacity, shard count, index modes, then one of
+/// Builds a [`Store`]: capacity, shard count, seed, then one of
 /// the terminal `create*`/`open`/`recover` calls.
 ///
 /// ```
@@ -861,8 +849,6 @@ pub struct StoreBuilder {
     items: u64,
     avg_value: u64,
     shards: usize,
-    fp: FpMode,
-    consistency: ConsistencyMode,
     seed: Option<u64>,
 }
 
@@ -878,8 +864,6 @@ impl StoreBuilder {
             items: 4096,
             avg_value: 64,
             shards: 1,
-            fp: FpMode::default(),
-            consistency: ConsistencyMode::default(),
             seed: None,
         }
     }
@@ -898,18 +882,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Index fingerprint-tag mode (create-time).
-    pub fn fp_mode(mut self, fp: FpMode) -> Self {
-        self.fp = fp;
-        self
-    }
-
-    /// Index consistency mode (create-time).
-    pub fn consistency(mut self, consistency: ConsistencyMode) -> Self {
-        self.consistency = consistency;
-        self
-    }
-
     /// Overrides the hash seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
@@ -918,9 +890,7 @@ impl StoreBuilder {
 
     fn shard_config(&self) -> KvConfig {
         let per_shard = (self.items / self.shards as u64).max(16);
-        let mut cfg = KvConfig::for_capacity(per_shard, self.avg_value)
-            .with_fp_mode(self.fp)
-            .with_consistency(self.consistency);
+        let mut cfg = KvConfig::for_capacity(per_shard, self.avg_value);
         if let Some(seed) = self.seed {
             cfg = cfg.with_seed(seed);
         }
@@ -950,7 +920,7 @@ impl StoreBuilder {
                 )));
             }
             let region = Region::new(0, size);
-            let kv = PmemKv::create_impl(&mut pm, region, &cfg)?;
+            let kv = PmemKv::create(&mut pm, region, &cfg)?;
             shards.push((pm, kv));
         }
         Ok(Store::from_shards(shards))
@@ -962,7 +932,7 @@ impl StoreBuilder {
     }
 
     /// Reopens a store from its shard pools (one per shard, in the order
-    /// they were created). Capacity/mode settings on the builder are
+    /// they were created). Capacity/seed settings on the builder are
     /// ignored — pools are self-describing.
     pub fn open<P: Pmem>(&self, pools: Vec<P>) -> Result<Store<P>, StoreError> {
         if pools.is_empty() {
@@ -971,7 +941,7 @@ impl StoreBuilder {
         let mut shards = Vec::with_capacity(pools.len());
         for mut pm in pools {
             let region = Region::new(0, pm.len());
-            let kv = PmemKv::open_impl(&mut pm, region)?;
+            let kv = PmemKv::open(&mut pm, region)?;
             shards.push((pm, kv));
         }
         Ok(Store::from_shards(shards))
@@ -1012,6 +982,7 @@ mod tests {
         assert!(!store.delete(b"alpha").unwrap());
         assert_eq!(store.get(b"alpha"), None);
         assert_eq!(store.len(), 1);
+        assert_eq!(store.seqlock_retries(), 0, "no reader overlapped a writer");
     }
 
     #[test]
@@ -1163,7 +1134,7 @@ mod tests {
         }));
         assert!(r.is_err());
         // Parity restored: readers must not spin forever.
-        assert_eq!(shard.seq.load(Ordering::Relaxed) & 1, 0);
+        assert_eq!(shard.seq.sequence() & 1, 0);
         assert_eq!(store.get(b"k").as_deref(), Some(&b"v"[..]));
         store.set(b"k2", b"w").unwrap();
         assert_eq!(store.get(b"k2").as_deref(), Some(&b"w"[..]));
@@ -1185,7 +1156,7 @@ mod tests {
         // stagers can elect a new leader.
         assert!(matches!(ticket.wait(), Err(StoreError::Kv(KvError::Corrupt(_)))));
         assert!(!shard.staged.lock().leader_active);
-        assert_eq!(shard.seq.load(Ordering::Relaxed) & 1, 0);
+        assert_eq!(shard.seq.sequence() & 1, 0);
         // The store keeps serving.
         store.set(b"after", b"ok").unwrap();
         assert_eq!(store.get(b"after").as_deref(), Some(&b"ok"[..]));

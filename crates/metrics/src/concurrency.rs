@@ -56,10 +56,13 @@ impl ConcurrencyCounters {
         ConcurrencyCounters::default()
     }
 
-    /// Records one reader retry caused by a concurrent writer.
+    /// Records `n` reader retries caused by concurrent writers (a
+    /// validated read reports its whole retry tally at once).
     #[inline]
-    pub fn note_seqlock_retry(&self) {
-        self.seqlock_retries.fetch_add(1, Ordering::Relaxed);
+    pub fn note_seqlock_retries(&self, n: u64) {
+        if n != 0 {
+            self.seqlock_retries.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Records one writer that had to wait for a contended shard lock.
@@ -125,8 +128,8 @@ mod tests {
     #[test]
     fn counts_through_shared_reference() {
         let c = ConcurrencyCounters::new();
-        c.note_seqlock_retry();
-        c.note_seqlock_retry();
+        c.note_seqlock_retries(1);
+        c.note_seqlock_retries(1);
         c.note_lock_wait();
         let s = c.snapshot();
         assert_eq!(s.seqlock_retries, 2);
@@ -141,7 +144,7 @@ mod tests {
                 let c = c.clone();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        c.note_seqlock_retry();
+                        c.note_seqlock_retries(1);
                         c.note_lock_wait();
                     }
                 })
@@ -175,6 +178,7 @@ mod tests {
         let c = ConcurrencyCounters::new();
         c.note_cas_failures(0);
         c.note_migration_steps(0);
+        c.note_seqlock_retries(0);
         assert_eq!(c.snapshot(), ConcurrencySnapshot::default());
         c.note_cas_failures(2);
         c.note_cas_failures(5);

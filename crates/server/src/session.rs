@@ -274,6 +274,7 @@ impl Session {
         stat("delete_hits", c.deletes.to_string());
         stat("curr_items", store.len().to_string());
         stat("batches", c.batches.to_string());
+        stat("seqlock_retries", store.seqlock_retries().to_string());
         stat("fences", pm.fences.to_string());
         stat(
             "fences_per_set",

@@ -14,7 +14,11 @@
 //! * [`HashScheme`] — the trait the workload driver and experiment harness
 //!   program against;
 //! * [`ConsistencyMode`] — whether a baseline wraps updates in the undo log
-//!   (the paper's `-L` variants) or runs bare.
+//!   (the paper's `-L` variants) or runs bare;
+//! * [`CellClaims`], [`MetaWords`] and [`SeqLock`] — the DRAM-only
+//!   concurrency and filter primitives (cell claims for lock-free writers,
+//!   8-lane fingerprint tag words, and the one sequence lock every
+//!   optimistic reader validates against).
 //!
 //! On top of those primitives the crate defines the three-layer split every
 //! scheme is built as (see DESIGN.md § "Layered architecture"):
@@ -43,6 +47,7 @@ pub mod meta;
 mod migrate;
 pub mod probe;
 mod scheme;
+mod seqlock;
 mod store;
 
 pub use bitmap::PmemBitmap;
@@ -56,4 +61,5 @@ pub use migrate::{
     migrate_recover, migrate_recover_split, migrate_step, migrate_step_same_pool, MigrationSource,
 };
 pub use scheme::{BatchError, ConsistencyMode, HashScheme, InsertError, OpKind};
+pub use seqlock::{SeqLock, SeqWriteGuard};
 pub use store::{BatchSession, CellStore, TryPublish, TryRetract};
