@@ -189,6 +189,25 @@ echo "==> server loopback smoke test (ephemeral port, scripted session, clean sh
 # thread to join on shutdown.
 cargo test -q -p nvm-server --test smoke
 
+echo "==> heap recovery gate (every crash point recovers with 0 leaked slots)"
+# A heap free clears its bitmap bit without a flush, so a crash can lose
+# the clear; recovery's GC sweep is what reclaims such slots. The heap
+# experiment crashes a churn run at several points and recovers; every
+# row of heap_recovery.csv must report 0 slots leaked after recovery.
+heap_out="$(mktemp -d)"
+cargo run --release -q -p gh-harness --bin heap -- --out-dir "$heap_out" > /dev/null
+awk -F, '
+  NR == 1 { for (i = 1; i <= NF; i++) if ($i == "leaked after recovery") col = i; next }
+  { rows++; if (!col || $col != 0) bad++ }
+  END {
+    if (!col || rows == 0 || bad) {
+      printf "heap recovery gate: %d of %d rows leaked after recovery\n", bad, rows > "/dev/stderr"
+      exit 1
+    }
+    printf "heap recovery gate: %d crash points, 0 leaked after recovery\n", rows
+  }' "$heap_out/heap_recovery.csv"
+rm -rf "$heap_out"
+
 echo "==> perfbench smoke tests (its own workspace, release)"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 

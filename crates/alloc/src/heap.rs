@@ -26,7 +26,12 @@
 //! The write counters are volatile hints (reset on re-open); all
 //! *correctness* state — occupancy bitmaps, GC cursor, GC active flag —
 //! is persistent and committed with single 8-byte atomic stores, per the
-//! paper's consistency discipline.
+//! paper's consistency discipline. Frees are the one store left
+//! unflushed: [`PmemHeap::free`] runs only after its owner durably
+//! unlinked the blob, so a clear lost in a crash is a leak the GC sweep
+//! reclaims, never a dangling pointer. A pool opened without recovery
+//! after an unclean shutdown may therefore count such leaked slots as
+//! allocated until a GC pass runs.
 
 use crate::classes::{ClassSpec, ClassTable, HeapConfig, MAX_CLASSES, MAX_SLABS_PER_CLASS};
 use crate::slab::SlabStore;
@@ -328,7 +333,15 @@ impl PmemHeap {
         Ok(ptrs)
     }
 
-    /// Frees the blob at `ptr` (atomic bitmap clear — the commit point).
+    /// Frees the blob at `ptr`: one 8-byte atomic bitmap store, no flush
+    /// and no fence.
+    ///
+    /// Call it only after the fence that durably unlinks `ptr` from its
+    /// owner (the index's pointer swap, retract or repoint). The clear
+    /// then only returns space: it becomes durable with the next flush of
+    /// its bitmap word, and if a crash drops it the slot leaks until
+    /// [`PmemHeap::gc_step`] reclaims it. See [`SlabStore::free`] for the
+    /// full ordering argument.
     pub fn free<P: Pmem>(&mut self, pm: &mut P, ptr: PmemPtr) -> Result<(), AllocError> {
         let (s, slot) = self.store.free(pm, ptr)?;
         self.cursors[s] = slot; // freed slot becomes the next candidate

@@ -14,9 +14,9 @@
 //! │           gc_step drainer (persisted cursor, ≤1 duplicate) │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ slab      SlabStore — pmem-facing slot arrays              │
-//! │           failure-atomic alloc/free publish on a per-slab  │
-//! │           bitmap word; CellStore try_publish idiom for     │
-//! │           shared writers                                   │
+//! │           failure-atomic alloc publish on a per-slab       │
+//! │           bitmap word, flush-free free; CellStore          │
+//! │           try_publish idiom for shared writers             │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ classes   pure geometry — no pmem                          │
 //! │           memcached-style size classes (80 B × 1.25),      │
@@ -32,7 +32,9 @@
 //! There is no log. The bitmaps plus a tiny header (GC cursor + active
 //! flag) are the only metadata and they are always consistent. After a
 //! crash the worst case is a *leak* — a slot whose bit committed but
-//! whose owner (e.g. a hash-table entry pointing at it) did not — and
+//! whose owner (e.g. a hash-table entry pointing at it) did not, or a
+//! freed slot whose bit clear was never flushed (a free costs no flush
+//! and no fence; see [`SlabStore::free`](slab::SlabStore::free)) — and
 //! leaks are bounded-work reclaimable: [`PmemHeap::gc_step`] sweeps the
 //! slot space against the owner ([`GcOwner`]) in resumable increments.
 //!
@@ -430,9 +432,9 @@ mod tests {
     }
 
     /// The heap's publish budgets, pinned: alloc = data persist + bitmap
-    /// commit (2 flushes / 2 fences / 1 atomic), free = bitmap commit
-    /// alone (1 / 1 / 1). Slots are 64 B here so the data persist is one
-    /// line.
+    /// commit (2 flushes / 2 fences / 1 atomic), free = one unflushed
+    /// bitmap store (0 / 0 / 1). Slots are 64 B here so the data persist
+    /// is one line.
     #[test]
     fn alloc_and_free_budgets_are_pinned() {
         let cfg = HeapConfig {
@@ -452,7 +454,7 @@ mod tests {
         pm.reset_stats();
         h.free(&mut pm, p).unwrap();
         let st = pm.stats();
-        assert_eq!((st.flushes, st.fences, st.atomic_writes), (1, 1, 1));
+        assert_eq!((st.flushes, st.fences, st.atomic_writes), (0, 0, 1));
     }
 
     #[test]

@@ -11,8 +11,17 @@
 //!   slot, persists it, and only then atomically sets the slot's bit — a
 //!   crash before the commit leaves the slot free and the torn blob
 //!   unreachable;
-//! * **free** atomically clears the bit; the stale bytes are
-//!   unreachable the instant the 8-byte store lands.
+//! * **free** clears the bit with one 8-byte atomic store and issues
+//!   **no flush and no fence**. The caller has already made the slot
+//!   unreachable durably, so the clear only returns space: it becomes
+//!   durable with the next flush of its bitmap word (the next allocation
+//!   in that word persists it), and if a crash drops it the slot is
+//!   merely leaked until the owner's GC sweep reclaims it.
+//!
+//! The safety invariant both verbs keep is *every slot the owner can
+//! reach has its bit durably set*: allocation sets the bit durably
+//! before the owner may link the slot, and the owner unlinks the slot
+//! durably before freeing it.
 //!
 //! Shared writers use [`SlabStore::try_alloc_in`], which replays the
 //! `CellStore::try_publish` choreography: claim the slot in DRAM
@@ -362,11 +371,21 @@ impl SlabStore {
         Err(AllocError::BadPointer(ptr))
     }
 
-    /// Frees the slot at `ptr` (atomic bitmap clear — the commit point).
-    /// Returns the slab the slot belonged to.
+    /// Frees the slot at `ptr` with one 8-byte atomic bitmap store and no
+    /// flush or fence. Returns the slab and slot freed.
+    ///
+    /// **Ordering contract.** The caller must issue the free only after
+    /// the fence that durably unlinks `ptr` from its owner. The clear is
+    /// then never needed for safety: if a crash drops it, the slot is
+    /// allocated but unreachable — a leak the owner's GC sweep
+    /// reclaims — and if it survives, nothing points at the slot. A
+    /// reallocation of the slot before the clear is durable is safe too:
+    /// the allocation persists the slot's bitmap word (clear included)
+    /// before the new owner can link it, and a crash earlier leaves at
+    /// worst a leaked slot holding part of the new blob.
     pub fn free<P: Pmem>(&self, pm: &mut P, ptr: PmemPtr) -> Result<(usize, u64), AllocError> {
         let (s, slot) = self.resolve(pm, ptr)?;
-        self.slabs[s].bitmap.set_and_persist(pm, slot, false);
+        self.slabs[s].bitmap.set_volatile(pm, slot, false);
         Ok((s, slot))
     }
 

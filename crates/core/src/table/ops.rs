@@ -586,30 +586,47 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     }
 
     /// Updates the value of an existing `key` in place, returning whether
-    /// the key was found.
-    ///
-    /// The value bytes are overwritten and persisted where they are. For
-    /// values of 8 bytes or less this is **failure-atomic** (the write is
-    /// a single aligned store — cells are 8-byte aligned and the key
-    /// prefix is a multiple of 8 for all provided key types): a crash
-    /// leaves either the old or the new value. For larger values a crash
-    /// mid-update can tear at 8-byte granularity; use remove+insert (or
-    /// an indirection pointer as `nvm-kv` does) when multi-word values
-    /// must switch atomically.
+    /// the key was found — a one-element [`GroupHash::update_batch`].
     pub fn update_in_place(&mut self, pm: &mut P, key: &K, value: V) -> bool {
-        match self.locate(pm, key) {
-            Some((level, idx)) => {
+        self.update_batch(pm, &[(*key, value)])[0].is_some()
+    }
+
+    /// Overwrites the value of every present key in `items`, in order,
+    /// and returns each key's replaced value (`None` for a key not
+    /// stored, which is left absent). Each found key's value bytes are
+    /// written and flushed where they are, then **one** fence makes the
+    /// whole batch durable: K found keys cost K flushes, 1 fence and no
+    /// atomic writes; a batch with no key found touches nothing.
+    ///
+    /// For values of 8 bytes or less each overwrite is
+    /// **failure-atomic** (a single aligned store — cells are 8-byte
+    /// aligned and the key prefix is a multiple of 8 for all provided key
+    /// types): a crash leaves every key with either its old or its new
+    /// value, independently of the others. For larger values a crash
+    /// can tear at 8-byte granularity; use remove+insert (or an
+    /// indirection pointer as `nvm-kv` does) when multi-word values must
+    /// switch atomically. A key listed twice is overwritten twice, and
+    /// its second answer is the value the first wrote.
+    pub fn update_batch(&mut self, pm: &mut P, items: &[(K, V)]) -> Vec<Option<V>> {
+        debug_assert!(V::SIZE <= 64);
+        let mut buf = [0u8; 64];
+        let old: Vec<Option<V>> = items
+            .iter()
+            .map(|(key, value)| {
+                let (level, idx) = self.locate(pm, key)?;
                 let store = self.level_store(level);
-                let mut buf = [0u8; 64];
-                debug_assert!(V::SIZE <= 64);
+                let prev = store.read_value(pm, idx);
                 value.write_to(&mut buf[..V::SIZE]);
                 let off = store.cells.cell_off(idx) + K::SIZE;
                 pm.write(off, &buf[..V::SIZE]);
-                pm.persist(off, V::SIZE);
-                true
-            }
-            None => false,
+                pm.flush(off, V::SIZE);
+                Some(prev)
+            })
+            .collect();
+        if old.iter().any(Option::is_some) {
+            pm.fence();
         }
+        old
     }
 
     /// Algorithm 3: a one-element batch, reproducing the single-op trace.

@@ -125,6 +125,38 @@ fn update_in_place_is_atomic_under_crash() {
     }
 }
 
+/// `update_batch`'s budget, pinned: K found keys cost K value-word
+/// flushes and one shared fence, with no atomic writes, and return the
+/// replaced values; a batch with no key found costs and writes nothing.
+#[test]
+fn update_batch_budget_is_k_flushes_one_fence() {
+    let (mut pm, mut t, _) = make(256, 16);
+    for k in 0..120u64 {
+        t.insert(&mut pm, k, k).unwrap();
+    }
+    pm.reset_stats();
+    let old = t.update_batch(&mut pm, &[(3, 300), (9999, 1), (40, 4000), (77, 7700)]);
+    assert_eq!(old, vec![Some(3), None, Some(40), Some(77)]);
+    let st = pm.stats();
+    assert_eq!((st.flushes, st.fences, st.atomic_writes), (3, 1, 0));
+    assert_eq!(t.get(&pm, &3), Some(300));
+    assert_eq!(t.get(&pm, &40), Some(4000));
+    assert_eq!(t.get(&pm, &77), Some(7700));
+    assert_eq!(t.get(&pm, &9999), None);
+    assert_eq!(t.len(&pm), 120);
+
+    pm.reset_stats();
+    let old = t.update_batch(&mut pm, &[(5000, 1), (5001, 2)]);
+    assert_eq!(old, vec![None, None]);
+    let st = pm.stats();
+    assert_eq!(
+        (st.flushes, st.fences, st.atomic_writes, st.writes),
+        (0, 0, 0, 0)
+    );
+    assert_eq!(t.get(&pm, &5000), None);
+    t.check_consistency(&pm).unwrap();
+}
+
 #[test]
 fn open_matches_created_table() {
     let (mut pm, mut t, region) = make(256, 16);

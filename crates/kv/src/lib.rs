@@ -27,6 +27,12 @@
 //! * **delete**: remove index entry (atomic bitmap clear) → free blob.
 //!   Crash between: a leak.
 //!
+//! A free clears the blob's heap bit without a flush or fence: it runs
+//! only after the fence that durably unlinked the blob, so a crash that
+//! drops the clear leaks the blob, like the windows above. Opening a
+//! pool without [`PmemKv::recover`] after an unclean shutdown may
+//! therefore report more heap slots than index entries.
+//!
 //! The index itself is exactly the paper's structure, so its own
 //! crash-recovery story (Algorithm 4) carries over; [`PmemKv::recover`]
 //! runs it and then runs [`PmemKv::gc_recover`] — the heap's bounded,
@@ -351,20 +357,15 @@ impl<P: Pmem> PmemKv<P> {
     /// Stores `key → value` (insert or update).
     pub fn set(&mut self, pm: &mut P, key: &[u8], value: &[u8]) -> Result<(), KvError> {
         let fp = fingerprint(key);
-        let blob = encode_blob(key, value);
-        match self.index.get(pm, &fp) {
+        let ptr = self.heap.alloc(pm, &encode_blob(key, value))?;
+        // Update: atomically swap the pointer to the committed new blob;
+        // once the swap's fence returns the old blob is unreachable.
+        match self.index.update_batch(pm, &[(fp, ptr.0)])[0] {
             Some(old_ptr) => {
-                // Update: commit new blob, atomically swap the pointer,
-                // then free the old blob.
-                let new_ptr = self.heap.alloc(pm, &blob)?;
-                let swapped = self.index.update_in_place(pm, &fp, new_ptr.0);
-                debug_assert!(swapped);
-                // Old blob now unreachable; reclaim it.
                 let _ = self.heap.free(pm, PmemPtr(old_ptr));
                 Ok(())
             }
             None => {
-                let ptr = self.heap.alloc(pm, &blob)?;
                 match self.index.insert(pm, fp, ptr.0) {
                     Ok(()) => Ok(()),
                     Err(InsertError::TableFull) => {
@@ -382,15 +383,20 @@ impl<P: Pmem> PmemKv<P> {
     /// Stores many pairs with fence-coalesced heap *and* index commits.
     ///
     /// All K blobs commit through one [`PmemHeap::alloc_batch`] (2
-    /// fences for the whole batch instead of 2 per blob); then updates
-    /// swap their pointer in place (same per-op choreography as
-    /// [`PmemKv::set`]) and fresh keys group-commit through the index's
-    /// batch insert (~K+2 fences instead of 3K). A batch of K fresh
-    /// inserts therefore costs ~K+4 fences end to end — the engine-level
-    /// realization of the paper's group-commit arithmetic. Crash
-    /// ordering is unchanged: blobs commit before index entries, and a
-    /// crash mid-batch durably keeps some prefix of the new entries
-    /// (the rest leak and [`PmemKv::gc`] reclaims them).
+    /// fences for the whole batch instead of 2 per blob). Then one
+    /// [`GroupHash::update_batch`] swaps every stored key's pointer in
+    /// place under a single shared fence, and the I keys it did not find
+    /// group-commit through the index's batch insert (~I+2 fences
+    /// instead of 3I). The replaced blobs are freed after the swap fence,
+    /// which costs no flush and no fence. End to end a batch costs 2
+    /// fences for the heap, 1 for all its swaps (if any key was stored)
+    /// and ~I+2 for its fresh inserts (if any): 3 for an all-update
+    /// batch, ~K+4 for K fresh inserts — the engine-level realization of
+    /// the paper's group-commit arithmetic.
+    /// Crash ordering is unchanged: blobs commit before index entries,
+    /// each swap lands whole or not at all, and a crash mid-batch
+    /// durably keeps some prefix of the new entries (the rest leak and
+    /// [`PmemKv::gc`] reclaims them).
     ///
     /// Duplicate keys within the batch collapse in DRAM (last write
     /// wins) before anything touches the pool. If the heap cannot place
@@ -420,18 +426,22 @@ impl<P: Pmem> PmemKv<P> {
         let blobs: Vec<Vec<u8>> = ops.iter().map(|(_, k, v)| encode_blob(k, v)).collect();
         let blob_refs: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
         let ptrs = self.heap.alloc_batch(pm, &blob_refs)?;
-        // Pass three: updates apply immediately (the pointer swap is
-        // already a single atomic); fresh keys defer into one index
-        // batch.
+        // Pass three: every stored key swaps its pointer under one
+        // fence; the replaced blobs are unreachable once it returns.
+        // Keys not found defer into one index batch.
+        let swaps: Vec<([u8; 16], u64)> = ops
+            .iter()
+            .zip(&ptrs)
+            .map(|((fp, _, _), p)| (*fp, p.0))
+            .collect();
+        let replaced = self.index.update_batch(pm, &swaps);
         let mut pending: Vec<([u8; 16], u64)> = Vec::new();
-        for ((fp, _, _), ptr) in ops.iter().zip(&ptrs) {
-            match self.index.get(pm, fp) {
+        for (swap, old_ptr) in swaps.into_iter().zip(replaced) {
+            match old_ptr {
                 Some(old_ptr) => {
-                    let swapped = self.index.update_in_place(pm, fp, ptr.0);
-                    debug_assert!(swapped);
                     let _ = self.heap.free(pm, PmemPtr(old_ptr));
                 }
-                None => pending.push((*fp, ptr.0)),
+                None => pending.push(swap),
             }
         }
         if pending.is_empty() {
@@ -511,35 +521,42 @@ impl<P: Pmem> PmemKv<P> {
     }
 
     /// Deletes many keys with one fence-coalesced index commit per chunk;
-    /// returns how many were present and removed. Index entries retract
-    /// first, then the blobs free — a crash between the two leaks, which
-    /// [`PmemKv::gc`] reclaims, exactly like single-key deletes.
-    pub fn delete_batch(&mut self, pm: &mut P, keys: &[&[u8]]) -> usize {
+    /// returns, per key in input order, whether this call removed it: the
+    /// first occurrence of a present key answers `true`, later duplicates
+    /// `false` (the key is already gone when their turn comes). Index
+    /// entries retract first, then the blobs free — a crash between the
+    /// two leaks, which [`PmemKv::gc`] reclaims, exactly like single-key
+    /// deletes.
+    pub fn delete_batch(&mut self, pm: &mut P, keys: &[&[u8]]) -> Vec<bool> {
         let mut fps: Vec<[u8; 16]> = Vec::new();
         let mut ptrs: Vec<u64> = Vec::new();
         let mut seen: HashSet<[u8; 16]> = HashSet::new();
-        for key in keys {
-            let fp = fingerprint(key);
-            if seen.contains(&fp) {
-                continue; // duplicate key in the batch
-            }
-            let Some(ptr) = self.index.get(pm, &fp) else {
-                continue;
-            };
-            // Verify before destroying (fingerprint collision paranoia).
-            if self.load_checked(pm, ptr, key).is_none() {
-                continue;
-            }
-            seen.insert(fp);
-            fps.push(fp);
-            ptrs.push(ptr);
-        }
+        let present = keys
+            .iter()
+            .map(|key| {
+                let fp = fingerprint(key);
+                if seen.contains(&fp) {
+                    return false; // duplicate key in the batch
+                }
+                let Some(ptr) = self.index.get(pm, &fp) else {
+                    return false;
+                };
+                // Verify before destroying (fingerprint collision paranoia).
+                if self.load_checked(pm, ptr, key).is_none() {
+                    return false;
+                }
+                seen.insert(fp);
+                fps.push(fp);
+                ptrs.push(ptr);
+                true
+            })
+            .collect();
         let removed = self.index.remove_batch(pm, &fps);
         debug_assert_eq!(removed, fps.len());
         for ptr in ptrs {
             let _ = self.heap.free(pm, PmemPtr(ptr));
         }
-        removed
+        present
     }
 
     /// Number of entries.
@@ -1026,7 +1043,10 @@ mod tests {
             b"missing".as_slice(),
             b"dup".as_slice(),
         ];
-        assert_eq!(kv.delete_batch(&mut pm, &kill), 3);
+        assert_eq!(
+            kv.delete_batch(&mut pm, &kill),
+            vec![true, true, false, false, true]
+        );
         assert_eq!(kv.get(&pm, b"bk-0"), None);
         assert_eq!(kv.get(&pm, b"dup"), None);
         kv.check_consistency(&pm).unwrap();
@@ -1246,6 +1266,103 @@ mod tests {
                 at += 1;
                 assert!(at < 300, "{name}: op never completed");
             }
+        }
+    }
+
+    #[test]
+    fn crash_while_reusing_a_lazily_freed_slot_is_safe() {
+        use nvm_table::crashtest::{exhaust_crash_points, CrashCheck};
+        // Slot X holds `v`'s first blob. It is the first slot of the
+        // class's first slab, so after a reopen (which resets the heap's
+        // placement hints) the next allocation of the class lands on it.
+        let (mut pm0, mut kv0, region, _cfg) = setup(64);
+        kv0.set(&mut pm0, b"v", b"value-1").unwrap();
+        let x = kv0.index.get(&pm0, &fingerprint(b"v")).unwrap();
+        kv0.set(&mut pm0, b"stable", b"rock").unwrap();
+        // The update frees X without flushing its bitmap word.
+        kv0.set(&mut pm0, b"v", b"value-2").unwrap();
+        assert!(!kv0.heap.is_allocated(&pm0, PmemPtr(x)));
+        drop(kv0);
+        {
+            // The clear is not durable yet: a crash that drops unflushed
+            // words leaks X to `open`, and `recover` reclaims it.
+            let mut pm = pm0.clone();
+            pm.crash(CrashResolution::DropUnflushed);
+            let mut kv = PmemKv::open(&mut pm, region).unwrap();
+            assert_eq!(kv.usage(&pm), (2, 3), "lost clear shows as a leak");
+            assert_eq!(kv.recover(&mut pm), 1);
+            assert_eq!(kv.usage(&pm), (2, 2));
+        }
+
+        // Each op with the values `v` and `w` may hold after a crash
+        // mid-op (old or new state); the last entry is the acked state.
+        type OpFn = fn(&mut PmemKv<SimPmem>, &mut SimPmem);
+        type State = (Option<&'static [u8]>, Option<&'static [u8]>);
+        let ops: [(&str, OpFn, [State; 2]); 3] = [
+            (
+                "update reusing X",
+                |kv, pm| kv.set(pm, b"v", b"value-3").unwrap(),
+                [(Some(b"value-2"), None), (Some(b"value-3"), None)],
+            ),
+            (
+                "insert reusing X",
+                |kv, pm| kv.set(pm, b"w", b"fresh-w").unwrap(),
+                [
+                    (Some(b"value-2"), None),
+                    (Some(b"value-2"), Some(b"fresh-w")),
+                ],
+            ),
+            (
+                "delete",
+                |kv, pm| assert!(kv.delete(pm, b"v")),
+                [(Some(b"value-2"), None), (None, None)],
+            ),
+        ];
+        let check = |pm: &mut SimPmem, states: &[State]| {
+            let mut kv = PmemKv::open(pm, region)?;
+            let leaks = kv.recover(pm);
+            kv.check_consistency(pm)?;
+            let state = (kv.get(pm, b"v"), kv.get(pm, b"w"));
+            let stable = kv.get(pm, b"stable");
+            let (entries, slots) = kv.usage(pm);
+            let ok = stable.as_deref() == Some(b"rock")
+                && states
+                    .iter()
+                    .any(|&(v, w)| (state.0.as_deref(), state.1.as_deref()) == (v, w))
+                && entries == slots;
+            ok.then_some(()).ok_or_else(|| {
+                KvError::Corrupt(format!(
+                    "stable {stable:?}, (v, w) {state:?}, {entries} entries vs \
+                     {slots} slots after reclaiming {leaks}"
+                ))
+            })
+        };
+        for (name, op, states) in ops {
+            // The completed op reuses X for the blob it writes (delete
+            // writes none), and its effect survives a crash that drops
+            // every unflushed word.
+            let mut pm = pm0.clone();
+            op(&mut PmemKv::open(&mut pm, region).unwrap(), &mut pm);
+            let kv = PmemKv::open(&mut pm, region).unwrap();
+            let written = match name {
+                "update reusing X" => kv.index.get(&pm, &fingerprint(b"v")),
+                "insert reusing X" => kv.index.get(&pm, &fingerprint(b"w")),
+                _ => Some(x),
+            };
+            assert_eq!(written, Some(x), "{name}: X was not reused");
+            pm.crash(CrashResolution::DropUnflushed);
+            check(&mut pm, &states[1..]).unwrap_or_else(|e| panic!("{name} acked: {e}"));
+
+            let report = exhaust_crash_points(CrashCheck {
+                setup: &|| pm0.clone(),
+                op: &|pm| op(&mut PmemKv::open(pm, region).unwrap(), pm),
+                recover_and_check: &|pm| {
+                    check(pm, &states).map_err(|e| TableError::Corrupt(e.to_string()))
+                },
+                max_events: 300,
+            })
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(report.crash_points > 5, "{name}: {report:?}");
         }
     }
 

@@ -275,6 +275,11 @@ impl Session {
         stat("curr_items", store.len().to_string());
         stat("batches", c.batches.to_string());
         stat("seqlock_retries", store.seqlock_retries().to_string());
+        stat("flushes", pm.flushes.to_string());
+        stat(
+            "flushes_per_set",
+            format!("{:.3}", pm.flushes as f64 / c.sets.max(1) as f64),
+        );
         stat("fences", pm.fences.to_string());
         stat(
             "fences_per_set",

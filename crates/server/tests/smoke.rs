@@ -108,6 +108,8 @@ fn loopback_session_and_clean_shutdown() {
     assert!(text.contains("STAT cmd_set 4\r\n"), "{text:?}");
     assert!(text.contains("STAT curr_items 3\r\n"), "{text:?}");
     assert!(text.contains("STAT fences "), "{text:?}");
+    assert!(text.contains("STAT flushes "), "{text:?}");
+    assert!(text.contains("STAT flushes_per_set "), "{text:?}");
 
     // quit closes the connection from the server side.
     c.write_all(b"quit\r\n").expect("write quit");

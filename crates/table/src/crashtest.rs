@@ -66,7 +66,7 @@ pub struct CrashReport {
 /// The adversarial resolutions every point is checked under. The
 /// `Alternate` pair guarantees mixed persist/drop outcomes across dirty
 /// words (both phases), which random seeds can miss on small footprints.
-const RESOLUTIONS: [CrashResolution; 6] = [
+pub const RESOLUTIONS: [CrashResolution; 6] = [
     CrashResolution::DropUnflushed,
     CrashResolution::PersistAll,
     CrashResolution::Alternate {
