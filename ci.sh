@@ -83,6 +83,15 @@ if grep -rnHE 'SlabStore|PmemBitmap|try_alloc_in|\balloc_in\b|locate_flat' crate
   echo "layering violation: kv must go through the heap policy layer, not slab-store internals" >&2
   lint_fail=1
 fi
+# Heap occupancy is DRAM-only: the owner's pointers are the heap's only
+# durable allocation record, rebuilt into DRAM bits on open. A
+# persistent bitmap in the heap would bring back the per-allocation
+# metadata flush (comments included: the heap docs must not describe
+# one either).
+if grep -rnH "PmemBitmap" crates/alloc/src | grep .; then
+  echo "heap shape violation: nvm-alloc must keep occupancy in DRAM, not in a PmemBitmap" >&2
+  lint_fail=1
+fi
 # The network front door codes against the Store facade only. If the
 # server needs something the facade doesn't expose, the facade grows —
 # the server never reaches into the index/heap/scheme layers. (nvm_pmem
@@ -190,10 +199,12 @@ echo "==> server loopback smoke test (ephemeral port, scripted session, clean sh
 cargo test -q -p nvm-server --test smoke
 
 echo "==> heap recovery gate (every crash point recovers with 0 leaked slots)"
-# A heap free clears its bitmap bit without a flush, so a crash can lose
-# the clear; recovery's GC sweep is what reclaims such slots. The heap
-# experiment crashes a churn run at several points and recovers; every
-# row of heap_recovery.csv must report 0 slots leaked after recovery.
+# Heap occupancy lives in DRAM and is rebuilt from the index on open and
+# recover, so the gate holds by construction: after any crash a slot is
+# allocated exactly when the index names it. The heap experiment crashes
+# a set_batch at several points and reopens; every row of
+# heap_recovery.csv must report 0 slots leaked after recovery. A nonzero
+# row means the rebuild, or an owner's link/free ordering, broke.
 heap_out="$(mktemp -d)"
 cargo run --release -q -p gh-harness --bin heap -- --out-dir "$heap_out" > /dev/null
 awk -F, '

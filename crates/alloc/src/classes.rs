@@ -190,8 +190,8 @@ impl SlabGeometry {
         (self.slot_size * self.slots) as usize
     }
 
-    /// Bytes of occupancy bitmap (one bit per slot, whole 8-byte words —
-    /// the same packing as the table crate's persistent bitmap).
+    /// Bytes of the slab's DRAM occupancy bitset (one bit per slot, whole
+    /// 8-byte words).
     pub fn bitmap_bytes(&self) -> usize {
         (self.slots.div_ceil(64) * 8) as usize
     }

@@ -17,6 +17,8 @@ pub enum AllocError {
     OutOfMemory,
     /// The pointer does not name an allocated slot.
     BadPointer(PmemPtr),
+    /// Rebuilding occupancy found the owner naming one slot twice.
+    DuplicatePointer(PmemPtr),
     /// A config declared zero or more than [`crate::MAX_CLASSES`] size
     /// classes.
     BadClassCount(usize),
@@ -67,6 +69,9 @@ impl std::fmt::Display for AllocError {
             AllocError::TooLarge(n) => write!(f, "blob of {n} bytes exceeds every size class"),
             AllocError::OutOfMemory => write!(f, "size class exhausted"),
             AllocError::BadPointer(p) => write!(f, "invalid persistent pointer {:#x}", p.0),
+            AllocError::DuplicatePointer(p) => {
+                write!(f, "persistent pointer {:#x} referenced twice", p.0)
+            }
             AllocError::BadClassCount(n) => {
                 write!(f, "need 1..={} size classes, got {n}", crate::MAX_CLASSES)
             }

@@ -1,7 +1,7 @@
-//! The heap policy layer: wear-aware placement and crash-resumable GC.
+//! The heap policy layer: wear-aware placement and a GC compactor.
 //!
-//! [`PmemHeap`] owns a [`SlabStore`] plus a persisted header and decides
-//! *where* allocations land:
+//! [`PmemHeap`] owns a [`SlabStore`] plus a persisted geometry header and
+//! decides *where* allocations land:
 //!
 //! * **Wear-aware rotation** ([`RotationPolicy::WearAware`], the
 //!   default): each size class owns several slabs, and allocation steers
@@ -11,45 +11,51 @@
 //!   `results/wear.csv` instruments for the index.
 //!   [`RotationPolicy::FirstFit`] is the no-rotation baseline the `heap`
 //!   experiment compares against.
-//! * **GC/compaction drainer** ([`PmemHeap::gc_step`]): a bounded,
-//!   crash-resumable sweep modeled on the table's `migrate_step`. A
-//!   persisted cursor walks the flat slot space; each allocated slot is
-//!   checked against the *owner* (the structure holding pointers into
-//!   the heap, e.g. `PmemKv`'s index) via [`GcOwner::is_live`]. Dead
-//!   slots — leaked by a crash mid-batch or orphaned by an overwrite —
-//!   are freed; live slots in sparse slabs are compacted by
-//!   copy-then-[`GcOwner::repoint`]-then-free, so at any crash point at
-//!   most **one** duplicate blob exists and the owner's pointer always
-//!   names an allocated slot. Re-running a partially-persisted cursor
-//!   range is harmless: `is_live`/`repoint` are idempotent checks.
+//! * **GC/compaction drainer** ([`PmemHeap::gc_step`]): a bounded sweep
+//!   modeled on the table's `migrate_step`. A cursor walks the flat slot
+//!   space; each allocated slot is checked against the *owner* (the
+//!   structure holding pointers into the heap, e.g. `PmemKv`'s index)
+//!   via [`GcOwner::is_live`]. Dead slots are freed; live slots in sparse
+//!   slabs are compacted by copy-then-[`GcOwner::repoint`]-then-free, so
+//!   at any crash point the owner's pointer names an intact blob.
 //!
-//! The write counters are volatile hints (reset on re-open); all
-//! *correctness* state — occupancy bitmaps, GC cursor, GC active flag —
-//! is persistent and committed with single 8-byte atomic stores, per the
-//! paper's consistency discipline. Frees are the one store left
-//! unflushed: [`PmemHeap::free`] runs only after its owner durably
-//! unlinked the blob, so a clear lost in a crash is a leak the GC sweep
-//! reclaims, never a dangling pointer. A pool opened without recovery
-//! after an unclean shutdown may therefore count such leaked slots as
-//! allocated until a GC pass runs.
+//! # Occupancy lives in DRAM; the owner is the allocation record
+//!
+//! The slab store keeps its occupancy bits in DRAM, not in the pool (see
+//! [`crate::slab`]). The owner's persistent pointers are the only
+//! durable record of which slots are live, so [`PmemHeap::open`] takes
+//! them and sets exactly those bits, and [`PmemHeap::rebuild`] does the
+//! same for an open heap after the owner repaired itself. This is safe
+//! because every caller keeps two orderings:
+//!
+//! * it links a slot only after the fence that makes the blob durable
+//!   ([`PmemHeap::alloc`] and [`PmemHeap::alloc_batch`] return after
+//!   that fence), so a durable pointer never names torn bytes;
+//! * it frees a slot only after the fence that durably unlinks it, so a
+//!   slot is never reused while a durable pointer names it.
+//!
+//! A crash anywhere therefore leaves, after the rebuild, a slot
+//! allocated exactly when the owner names it: no leak, and no recovery
+//! sweep. An allocation costs its blob lines plus one fence and a free
+//! costs nothing in the pool. The write counters, placement cursors and
+//! the GC cursor are volatile as well; a crash mid-GC-pass loses nothing
+//! the rebuild does not restore.
 
 use crate::classes::{ClassSpec, ClassTable, HeapConfig, MAX_CLASSES, MAX_SLABS_PER_CLASS};
 use crate::slab::SlabStore;
 use crate::{AllocError, PmemPtr};
 use nvm_pmem::{align_up, Pmem, PmemRead, Region, RegionAllocator, CACHELINE};
 
-/// Magic word identifying a heap header ("NVHEAP01").
-const MAGIC: u64 = 0x4E56_4845_4150_3031;
+/// Magic word identifying a heap header ("NVHEAP02"; "NVHEAP01" images
+/// kept persistent occupancy bitmaps and are rejected).
+const MAGIC: u64 = 0x4E56_4845_4150_3032;
 
 /// Header offsets relative to the header region: magic, class count,
-/// slabs per class, GC cursor, GC active flag, then per-class
-/// (slot_size, slots_per_slab) pairs.
+/// slabs per class, then per-class (slot_size, slots_per_slab) pairs.
 const H_MAGIC: usize = 0;
 const H_NCLASSES: usize = 8;
 const H_SLABS: usize = 16;
-const H_GC_CURSOR: usize = 24;
-const H_GC_ACTIVE: usize = 32;
-const H_CLASSES: usize = 40;
+const H_CLASSES: usize = 24;
 
 /// How the heap picks a slab within a size class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,7 +77,7 @@ pub struct HeapStats {
     pub frees: u64,
     /// Blobs relocated by the GC compactor.
     pub gc_moves: u64,
-    /// Dead/leaked blobs reclaimed by the GC sweep.
+    /// Unreferenced blobs the GC pass freed.
     pub leaked_reclaimed: u64,
 }
 
@@ -87,8 +93,7 @@ pub struct FragStats {
 }
 
 /// The heap's view of the structure that owns pointers into it, consulted
-/// by the GC drainer. Both calls must be idempotent — the drainer may
-/// revisit a slot after a crash rolled its cursor back.
+/// by the GC pass.
 pub trait GcOwner<P: Pmem> {
     /// Whether the owner still references the blob at `ptr` (whose bytes
     /// are `blob`). Unreferenced blobs are reclaimed.
@@ -102,19 +107,20 @@ pub trait GcOwner<P: Pmem> {
 }
 
 /// The value heap: slab store + placement policy + GC, behind one
-/// persisted header.
-#[derive(Debug, Clone)]
+/// persisted geometry header.
+#[derive(Debug)]
 pub struct PmemHeap {
     store: SlabStore,
     table: ClassTable,
     region: Region,
-    header: Region,
     rotation: RotationPolicy,
     /// Per-slab rotating allocation cursors (volatile hints).
     cursors: Vec<u64>,
     /// Per-slab write counters: slot writes from allocs + GC copy-ins
     /// (volatile hints driving wear-aware rotation).
     writes: Vec<u64>,
+    /// Flat slot index the in-flight GC pass resumes at, if one is.
+    gc_cursor: Option<u64>,
     stats: HeapStats,
 }
 
@@ -130,28 +136,27 @@ impl PmemHeap {
             + SlabStore::required_size(config)
     }
 
-    fn layout(region: Region, config: &HeapConfig) -> (Region, RegionAllocator) {
+    /// Lays out the header and the slab store in `region`.
+    fn assemble(region: Region, config: &HeapConfig) -> (Region, Self) {
         let mut ra = RegionAllocator::new(region.off, region.end());
         let header = ra.alloc_lines(align_up(Self::header_len(config.classes.len()), 8));
-        (header, ra)
-    }
-
-    fn assemble(region: Region, config: &HeapConfig, store: SlabStore, header: Region) -> Self {
-        let table = config.class_table().expect("validated config");
+        let store = SlabStore::new(&mut ra, config);
         let n = store.n_slabs();
-        PmemHeap {
+        let heap = PmemHeap {
             store,
-            table,
+            table: config.class_table().expect("validated config"),
             region,
-            header,
             rotation: RotationPolicy::default(),
             cursors: vec![0; n],
             writes: vec![0; n],
+            gc_cursor: None,
             stats: HeapStats::default(),
-        }
+        };
+        (header, heap)
     }
 
-    /// Creates a fresh heap in `region`.
+    /// Creates a fresh, empty heap in `region`. Writes only the geometry
+    /// header.
     pub fn create<P: Pmem>(
         pm: &mut P,
         region: Region,
@@ -165,14 +170,11 @@ impl PmemHeap {
                 need,
             });
         }
-        let (header, mut ra) = Self::layout(region, config);
-        let store = SlabStore::create(pm, &mut ra, config);
-        // Header: geometry and GC state first, magic last (a header is
-        // valid only once fully initialized).
+        let (header, heap) = Self::assemble(region, config);
+        // Header: geometry first, magic last (a header is valid only once
+        // fully initialized).
         pm.write_u64(header.off + H_NCLASSES, config.classes.len() as u64);
         pm.write_u64(header.off + H_SLABS, config.slabs_per_class);
-        pm.write_u64(header.off + H_GC_CURSOR, 0);
-        pm.write_u64(header.off + H_GC_ACTIVE, 0);
         for (i, c) in config.classes.iter().enumerate() {
             pm.write_u64(header.off + H_CLASSES + i * 16, c.slot_size);
             pm.write_u64(header.off + H_CLASSES + i * 16 + 8, c.slots_per_slab);
@@ -180,15 +182,23 @@ impl PmemHeap {
         pm.persist(header.off, Self::header_len(config.classes.len()));
         pm.atomic_write_u64(header.off + H_MAGIC, MAGIC);
         pm.persist(header.off + H_MAGIC, 8);
-        Ok(Self::assemble(region, config, store, header))
+        Ok(heap)
     }
 
     /// Re-opens a heap previously created in `region`, reading its
-    /// geometry back from the persisted header. Read-only: any
-    /// [`PmemRead`] handle suffices. An interrupted GC pass is *not*
-    /// resumed here — check [`PmemHeap::gc_pending`] and drive
-    /// [`PmemHeap::gc_step`] to finish it.
-    pub fn open<R: PmemRead>(pm: &R, region: Region) -> Result<Self, AllocError> {
+    /// geometry back from the persisted header and marking allocated
+    /// exactly the slots `live` names — the owner's persistent pointers.
+    /// Read-only: any [`PmemRead`] handle suffices.
+    ///
+    /// The result is exact after any crash (see the module docs). A live
+    /// pointer that is not a slot start of this heap fails with
+    /// [`AllocError::BadPointer`], one named twice with
+    /// [`AllocError::DuplicatePointer`].
+    pub fn open<R: PmemRead>(
+        pm: &R,
+        region: Region,
+        live: impl IntoIterator<Item = PmemPtr>,
+    ) -> Result<Self, AllocError> {
         let header_off = align_up(region.off, CACHELINE);
         if !region.contains(header_off, H_CLASSES) {
             return Err(AllocError::BadHeader("region too small for a heap header"));
@@ -222,9 +232,18 @@ impl PmemHeap {
                 need,
             });
         }
-        let (header, mut ra) = Self::layout(region, &config);
-        let store = SlabStore::attach(&mut ra, &config);
-        Ok(Self::assemble(region, &config, store, header))
+        let (_, mut heap) = Self::assemble(region, &config);
+        heap.rebuild(live)?;
+        Ok(heap)
+    }
+
+    /// Resets occupancy to exactly the slots `live` names, e.g. after the
+    /// owner repaired itself post-crash. Read views share the rebuilt
+    /// bits. Ends any GC pass in flight. Fails like [`PmemHeap::open`];
+    /// on error the heap must not be used.
+    pub fn rebuild(&mut self, live: impl IntoIterator<Item = PmemPtr>) -> Result<(), AllocError> {
+        self.gc_cursor = None;
+        self.store.rebuild(live)
     }
 
     /// Switches the slab-selection policy (volatile; takes effect on the
@@ -233,17 +252,22 @@ impl PmemHeap {
         self.rotation = policy;
     }
 
-    /// Allocates and stores `blob`, returning its persistent pointer.
-    /// The blob is durable and committed when this returns; placement
-    /// follows the configured [`RotationPolicy`].
-    pub fn alloc<P: Pmem>(&mut self, pm: &mut P, blob: &[u8]) -> Result<PmemPtr, AllocError> {
-        let ci = self.table.class_for(blob.len())?;
-        let range = self.store.class_slabs(ci);
-        let mut order: Vec<usize> = range.collect();
+    /// Class `ci`'s slabs in the order the rotation policy tries them.
+    fn slab_order(&self, ci: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = self.store.class_slabs(ci).collect();
         if self.rotation == RotationPolicy::WearAware {
             order.sort_by_key(|&s| self.writes[s]);
         }
-        for s in order {
+        order
+    }
+
+    /// Allocates and stores `blob`, returning its persistent pointer.
+    /// The blob is durable when this returns (its lines plus one fence),
+    /// so the caller may link the pointer; placement follows the
+    /// configured [`RotationPolicy`].
+    pub fn alloc<P: Pmem>(&mut self, pm: &mut P, blob: &[u8]) -> Result<PmemPtr, AllocError> {
+        let ci = self.table.class_for(blob.len())?;
+        for s in self.slab_order(ci) {
             match self.store.alloc_in(pm, s, blob, self.cursors[s]) {
                 Ok((ptr, slot)) => {
                     self.cursors[s] = slot + 1;
@@ -258,23 +282,16 @@ impl PmemHeap {
         Err(AllocError::OutOfMemory)
     }
 
-    /// Allocates and stores every blob in `blobs` with **fence-coalesced
-    /// commits**: all blob bytes are written and flushed first (no
-    /// fences), one fence orders them, every occupancy bit is set
-    /// atomically with its word flushed, and one closing fence commits —
-    /// K allocations for 2 fences instead of the 2K that K
-    /// [`PmemHeap::alloc`] calls would spend. Placement follows the same
-    /// [`RotationPolicy`] as single allocations, with slots already
-    /// staged by this batch vetoed in DRAM (their bits are still clear).
+    /// Allocates and stores every blob in `blobs` under **one fence**:
+    /// all blob bytes are written and flushed first, then one fence makes
+    /// them durable together — K allocations for 1 fence instead of the K
+    /// that K [`PmemHeap::alloc`] calls would spend. Placement follows the
+    /// same [`RotationPolicy`] as single allocations, with slots already
+    /// staged by this batch vetoed.
     ///
-    /// Returns one pointer per blob, in input order. On error (a blob too
-    /// large for every class, or the heap out of space) **nothing is
-    /// committed**: no bit was set, so every staged byte is unreachable
-    /// and the heap is unchanged.
-    ///
-    /// Crash ordering matches the single-alloc path: a crash anywhere
-    /// leaves an arbitrary subset of the batch allocated, each committed
-    /// slot intact, each uncommitted slot free.
+    /// Returns one pointer per blob, in input order, all durable. On
+    /// error (a blob too large for every class, or the heap out of space)
+    /// **nothing is allocated** and the heap is unchanged.
     pub fn alloc_batch<P: Pmem>(
         &mut self,
         pm: &mut P,
@@ -292,58 +309,50 @@ impl PmemHeap {
         let saved_cursors = self.cursors.clone();
         let saved_writes = self.writes.clone();
         for blob in blobs {
-            let ci = match self.table.class_for(blob.len()) {
-                Ok(ci) => ci,
+            let placed = self.table.class_for(blob.len()).and_then(|ci| {
+                self.slab_order(ci)
+                    .into_iter()
+                    .find_map(|s| {
+                        let slot = self.store.find_free_skipping(s, self.cursors[s], |slot| {
+                            staged_set.contains(&(s, slot))
+                        })?;
+                        Some((s, slot))
+                    })
+                    .ok_or(AllocError::OutOfMemory)
+            });
+            let (s, slot) = match placed {
+                Ok(p) => p,
                 Err(e) => {
+                    // No bit set yet: the staged bytes are unreachable
+                    // and the heap is observably unchanged.
                     self.cursors = saved_cursors;
                     self.writes = saved_writes;
                     return Err(e);
                 }
             };
-            let range = self.store.class_slabs(ci);
-            let mut order: Vec<usize> = range.collect();
-            if self.rotation == RotationPolicy::WearAware {
-                order.sort_by_key(|&s| self.writes[s]);
-            }
-            let mut placed = false;
-            for s in order {
-                let slot = self.store.find_free_skipping(pm, s, self.cursors[s], |slot| {
-                    staged_set.contains(&(s, slot))
-                });
-                if let Some(slot) = slot {
-                    ptrs.push(self.store.stage_write(pm, s, slot, blob));
-                    staged_set.insert((s, slot));
-                    staged.push((s, slot));
-                    self.cursors[s] = slot + 1;
-                    self.writes[s] += 1;
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                // No bit committed yet — the staged bytes are unreachable
-                // and the heap is observably unchanged.
-                self.cursors = saved_cursors;
-                self.writes = saved_writes;
-                return Err(AllocError::OutOfMemory);
-            }
+            ptrs.push(self.store.stage_write(pm, s, slot, blob));
+            staged_set.insert((s, slot));
+            staged.push((s, slot));
+            self.cursors[s] = slot + 1;
+            self.writes[s] += 1;
         }
         self.store.publish_staged(pm, &staged);
         self.stats.allocs += blobs.len() as u64;
         Ok(ptrs)
     }
 
-    /// Frees the blob at `ptr`: one 8-byte atomic bitmap store, no flush
-    /// and no fence.
+    /// Frees the blob at `ptr`: clears its DRAM occupancy bit and writes
+    /// no pool byte (`pm` is not touched).
     ///
     /// Call it only after the fence that durably unlinks `ptr` from its
-    /// owner (the index's pointer swap, retract or repoint). The clear
-    /// then only returns space: it becomes durable with the next flush of
-    /// its bitmap word, and if a crash drops it the slot leaks until
-    /// [`PmemHeap::gc_step`] reclaims it. See [`SlabStore::free`] for the
-    /// full ordering argument.
-    pub fn free<P: Pmem>(&mut self, pm: &mut P, ptr: PmemPtr) -> Result<(), AllocError> {
-        let (s, slot) = self.store.free(pm, ptr)?;
+    /// owner (the index's pointer swap, retract or repoint), so the slot
+    /// is never reused while a durable pointer names it.
+    pub fn free<P: Pmem>(&mut self, _pm: &mut P, ptr: PmemPtr) -> Result<(), AllocError> {
+        self.release(ptr)
+    }
+
+    fn release(&mut self, ptr: PmemPtr) -> Result<(), AllocError> {
+        let (s, slot) = self.store.free(ptr)?;
         self.cursors[s] = slot; // freed slot becomes the next candidate
         self.stats.frees += 1;
         Ok(())
@@ -355,33 +364,29 @@ impl PmemHeap {
     }
 
     /// True if `ptr` names a currently-allocated slot.
-    pub fn is_allocated<R: PmemRead>(&self, pm: &R, ptr: PmemPtr) -> bool {
-        self.store.is_allocated(pm, ptr)
-    }
-
-    /// Visits every allocated slot (for mark-and-sweep by owners).
-    pub fn for_each_allocated<R: PmemRead>(&self, pm: &R, f: impl FnMut(PmemPtr)) {
-        self.store.for_each_allocated(pm, f)
+    pub fn is_allocated(&self, ptr: PmemPtr) -> bool {
+        self.store.is_allocated(ptr)
     }
 
     /// (allocated slots, total slots) per class.
-    pub fn class_usage<R: PmemRead>(&self, pm: &R) -> Vec<(u64, u64)> {
+    pub fn class_usage(&self) -> Vec<(u64, u64)> {
         (0..self.table.len())
             .map(|ci| {
-                let mut live = 0;
-                let mut total = 0;
-                for s in self.store.class_slabs(ci) {
-                    live += self.store.live_slots(pm, s);
-                    total += self.store.slab(s).geom.slots;
-                }
-                (live, total)
+                self.store.class_slabs(ci).fold((0, 0), |(live, total), s| {
+                    (
+                        live + self.store.live_slots(s),
+                        total + self.store.slab(s).geom.slots,
+                    )
+                })
             })
             .collect()
     }
 
     /// Total allocated slots.
-    pub fn allocated<R: PmemRead>(&self, pm: &R) -> u64 {
-        self.class_usage(pm).iter().map(|&(a, _)| a).sum()
+    pub fn allocated(&self) -> u64 {
+        (0..self.store.n_slabs())
+            .map(|s| self.store.live_slots(s))
+            .sum()
     }
 
     /// Live-payload vs slot-byte accounting for fragmentation reporting.
@@ -390,10 +395,9 @@ impl PmemHeap {
         for s in 0..self.store.n_slabs() {
             let slab = self.store.slab(s);
             f.total_slot_bytes += slab.geom.slot_size * slab.geom.slots;
-            let live = self.store.live_slots(pm, s);
-            f.allocated_slot_bytes += live * slab.geom.slot_size;
+            f.allocated_slot_bytes += self.store.live_slots(s) * slab.geom.slot_size;
         }
-        self.store.for_each_allocated(pm, |p| {
+        self.store.for_each_allocated(|p| {
             f.live_blob_bytes += pm.read_u64(p.0 as usize);
         });
         f
@@ -424,7 +428,8 @@ impl PmemHeap {
     }
 
     /// A read-only view over the heap's slots, safe to clone into reader
-    /// threads (pure geometry — occupancy is always read from pmem).
+    /// threads. It shares the heap's occupancy bits (never a copy), so it
+    /// sees every later allocation and free.
     pub fn read_view(&self) -> HeapReadView {
         HeapReadView {
             store: self.store.clone(),
@@ -433,72 +438,50 @@ impl PmemHeap {
 
     // ---- GC/compaction drainer ------------------------------------------
 
-    /// Whether a GC pass is in flight (persisted; survives crashes).
-    pub fn gc_pending<R: PmemRead>(&self, pm: &R) -> bool {
-        pm.read_u64(self.header.off + H_GC_ACTIVE) != 0
+    /// Whether a GC pass is in flight (volatile: a restart ends it).
+    pub fn gc_pending(&self) -> bool {
+        self.gc_cursor.is_some()
     }
 
     /// Runs one bounded GC increment: scans up to `max_slots` slots from
-    /// the persisted cursor, reclaiming blobs the `owner` no longer
-    /// references and compacting sparse slabs (copy → `repoint` → free,
-    /// at most one duplicate at any crash point). Returns `true` while
-    /// the pass is incomplete — keep calling; `false` ends the pass.
-    ///
-    /// The cursor is persisted once per call, *after* the batch: a crash
-    /// mid-batch re-scans those slots on resume, which is safe because
-    /// [`GcOwner`] calls are idempotent.
+    /// the pass's cursor, reclaiming blobs the `owner` no longer
+    /// references and compacting sparse slabs (copy → `repoint` → free).
+    /// Returns `true` while the pass is incomplete — keep calling;
+    /// `false` ends the pass.
     pub fn gc_step<P: Pmem>(
         &mut self,
         pm: &mut P,
         max_slots: u64,
         owner: &mut impl GcOwner<P>,
     ) -> Result<bool, AllocError> {
-        let cursor_off = self.header.off + H_GC_CURSOR;
-        let active_off = self.header.off + H_GC_ACTIVE;
-        if !self.gc_pending(pm) {
-            // Start a pass: cursor first, then the active flag — if we
-            // crash in between, the flag stays clear and the next start
-            // rewinds the cursor again.
-            pm.atomic_write_u64(cursor_off, 0);
-            pm.persist(cursor_off, 8);
-            pm.atomic_write_u64(active_off, 1);
-            pm.persist(active_off, 8);
-        }
         let total = self.store.total_slots();
-        let mut cur = pm.read_u64(cursor_off);
+        let mut cur = self.gc_cursor.unwrap_or(0);
         let end = cur.saturating_add(max_slots.max(1)).min(total);
         while cur < end {
             if let Some((s, slot)) = self.store.locate_flat(cur) {
-                if self.store.slot_allocated(pm, s, slot) {
+                if self.store.slot_allocated(s, slot) {
                     let ptr = PmemPtr(self.store.slab(s).slot_off(slot));
                     let blob = self.store.read(pm, ptr)?;
                     if !owner.is_live(pm, ptr, &blob) {
-                        // Leaked by a crash or orphaned by an overwrite.
-                        self.store.free(pm, ptr)?;
-                        self.stats.frees += 1;
+                        // Orphaned: the owner never linked it.
+                        self.release(ptr)?;
                         self.stats.leaked_reclaimed += 1;
-                    } else if self.slab_is_sparse(pm, s) {
+                    } else if self.slab_is_sparse(s) {
                         self.compact_one(pm, s, ptr, &blob, owner)?;
                     }
                 }
             }
             cur += 1;
         }
-        pm.atomic_write_u64(cursor_off, cur);
-        pm.persist(cursor_off, 8);
-        if cur >= total {
-            pm.atomic_write_u64(active_off, 0);
-            pm.persist(active_off, 8);
-            return Ok(false);
-        }
-        Ok(true)
+        self.gc_cursor = (cur < total).then_some(cur);
+        Ok(self.gc_pending())
     }
 
     /// A slab is compaction-worthy when ≤ ¼ full (and big enough for the
     /// ratio to mean anything).
-    fn slab_is_sparse<R: PmemRead>(&self, pm: &R, s: usize) -> bool {
+    fn slab_is_sparse(&self, s: usize) -> bool {
         let slots = self.store.slab(s).geom.slots;
-        slots >= 4 && self.store.live_slots(pm, s) * 4 <= slots
+        slots >= 4 && self.store.live_slots(s) * 4 <= slots
     }
 
     /// Moves one live blob out of sparse slab `s`: copy into the densest
@@ -518,13 +501,13 @@ impl PmemHeap {
             .store
             .class_slabs(ci)
             .filter(|&t| t != s)
-            .map(|t| (t, self.store.live_slots(pm, t)))
+            .map(|t| (t, self.store.live_slots(t)))
             .filter(|&(t, live)| live < self.store.slab(t).geom.slots)
             .max_by_key(|&(_, live)| live);
         let Some((dest, dest_live)) = dest else {
             return Ok(()); // every sibling is full
         };
-        if dest_live <= self.store.live_slots(pm, s) {
+        if dest_live <= self.store.live_slots(s) {
             return Ok(()); // we're already the densest option
         }
         let (new, slot) = match self.store.alloc_in(pm, dest, blob, self.cursors[dest]) {
@@ -534,30 +517,27 @@ impl PmemHeap {
         };
         self.cursors[dest] = slot + 1;
         self.writes[dest] += 1;
-        // Crash window: both copies allocated, owner still at `old` — the
-        // next pass sees `new` as dead and reclaims it. ≤ 1 duplicate.
+        // Crash window: the owner still names `old`, so the rebuild keeps
+        // `old` and drops `new`.
         if owner.repoint(pm, old, new, blob) {
-            self.store.free(pm, old)?;
-            self.stats.frees += 1;
+            self.release(old)?;
             self.stats.gc_moves += 1;
         } else {
-            self.store.free(pm, new)?;
+            self.store.free(new)?;
         }
         Ok(())
     }
 
-    /// Runs GC passes to completion: finishes any interrupted pass, then
-    /// one full fresh pass. Returns the number of blobs reclaimed as
-    /// leaked/dead.
+    /// Runs GC passes to completion: finishes any pass in flight, then
+    /// one full fresh pass. Returns the number of orphaned blobs
+    /// reclaimed.
     pub fn gc_full<P: Pmem>(
         &mut self,
         pm: &mut P,
         owner: &mut impl GcOwner<P>,
     ) -> Result<u64, AllocError> {
         let before = self.stats.leaked_reclaimed;
-        if self.gc_pending(pm) {
-            while self.gc_step(pm, 1024, owner)? {}
-        }
+        while self.gc_pending() && self.gc_step(pm, 1024, owner)? {}
         while self.gc_step(pm, 1024, owner)? {}
         Ok(self.stats.leaked_reclaimed - before)
     }
@@ -577,7 +557,7 @@ impl HeapReadView {
     }
 
     /// True if `ptr` names a currently-allocated slot.
-    pub fn is_allocated<R: PmemRead>(&self, pm: &R, ptr: PmemPtr) -> bool {
-        self.store.is_allocated(pm, ptr)
+    pub fn is_allocated(&self, ptr: PmemPtr) -> bool {
+        self.store.is_allocated(ptr)
     }
 }

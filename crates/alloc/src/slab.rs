@@ -1,33 +1,38 @@
-//! The pmem-facing slab store.
+//! The slab store: slot arrays in the pool, occupancy in DRAM.
 //!
 //! One layer above the pure geometry in [`crate::classes`]: this module
-//! anchors slabs in a pool region and performs the actual failure-atomic
-//! allocate/free publishes. Every slab is a contiguous array of
-//! fixed-width slots plus a persistent occupancy bitmap (the same
-//! [`PmemBitmap`] the hash tables use), and every state change commits
-//! through a single 8-byte bitmap word:
+//! anchors slabs in a pool region and writes blobs into their slots.
+//! Every slab is a contiguous array of fixed-width slots. Which slots are
+//! taken is recorded in a DRAM atomic bitset, one bit per slot, and
+//! never in the pool: the owner's persistent pointers (e.g. `PmemKv`'s
+//! index) are the heap's only durable allocation record, because a slot
+//! is live exactly when the owner references it. After a restart the
+//! owner hands its pointers to [`SlabStore::rebuild`], which sets
+//! exactly those bits.
 //!
 //! * **allocate** writes the blob (length prefix + bytes) into a free
-//!   slot, persists it, and only then atomically sets the slot's bit — a
-//!   crash before the commit leaves the slot free and the torn blob
-//!   unreachable;
-//! * **free** clears the bit with one 8-byte atomic store and issues
-//!   **no flush and no fence**. The caller has already made the slot
-//!   unreachable durably, so the clear only returns space: it becomes
-//!   durable with the next flush of its bitmap word (the next allocation
-//!   in that word persists it), and if a crash drops it the slot is
-//!   merely leaked until the owner's GC sweep reclaims it.
+//!   slot, persists it (its blob lines plus one fence), and sets the
+//!   slot's DRAM bit. No metadata line is written.
+//! * **free** clears the DRAM bit and writes no pool byte.
 //!
-//! The safety invariant both verbs keep is *every slot the owner can
-//! reach has its bit durably set*: allocation sets the bit durably
-//! before the owner may link the slot, and the owner unlinks the slot
-//! durably before freeing it.
+//! The safety argument is the owner's ordering, and rebuilding from the
+//! owner makes it exact after any crash:
 //!
-//! Shared writers use [`SlabStore::try_alloc_in`], which replays the
-//! `CellStore::try_publish` choreography: claim the slot in DRAM
-//! ([`CellClaims`]), verify its bit is still clear, write and persist the
-//! blob, then commit with a bit-arbitrated CAS
-//! ([`PmemBitmap::try_set_and_persist`]) and release the claim.
+//! * the owner links a slot only after the fence that makes its blob
+//!   durable, so every pointer that survives a crash names intact bytes;
+//! * the owner frees a slot only after the fence that durably unlinks
+//!   it, so a slot is never handed out again while a durable pointer
+//!   still names it.
+//!
+//! A crash between an allocation and its link leaves an unreferenced
+//! slot, and a crash between an unlink and its free leaves nothing
+//! behind: the DRAM bits die with the process, and the rebuild marks
+//! only what the owner names. Nothing leaks and nothing needs a sweep.
+//!
+//! The bitset sits behind an [`Arc`]: cloning a store shares the same
+//! words, so read views captured once (see
+//! [`PmemHeap::read_view`](crate::PmemHeap::read_view)) see every later
+//! allocation and free.
 //!
 //! Placement *policy* — which slab of a class to allocate from — lives
 //! one layer up in [`crate::heap`]; this layer only answers "allocate in
@@ -35,21 +40,24 @@
 
 use crate::classes::{HeapConfig, SlabGeometry, LEN_PREFIX};
 use crate::{AllocError, PmemPtr};
-use nvm_pmem::{Pmem, PmemRead, PmemWrite, Region, RegionAllocator};
-use nvm_table::{CellClaims, PmemBitmap};
+use nvm_pmem::{Pmem, PmemRead, Region, RegionAllocator};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// One slab: a bitmap plus a slot array, anchored in the pool.
+/// One slab: a slot array anchored in the pool, plus its run of words in
+/// the store's DRAM occupancy bitset.
 #[derive(Debug, Clone, Copy)]
 pub struct Slab {
     /// Index of the slab's size class in the heap's class table.
     pub class_idx: usize,
     /// The slab's freelist geometry (slot width and count).
     pub geom: SlabGeometry,
-    bitmap: PmemBitmap,
     slots_region: Region,
     /// First flat slot index of this slab (slabs number their slots into
-    /// one contiguous space for claims and GC cursors).
+    /// one contiguous space for GC cursors).
     flat_base: u64,
+    /// First occupancy word of this slab (each slab starts on a word).
+    word_base: usize,
 }
 
 impl Slab {
@@ -73,11 +81,18 @@ impl Slab {
     pub fn flat_base(&self) -> u64 {
         self.flat_base
     }
+
+    /// Occupancy word index and bit mask of slot `slot`.
+    #[inline]
+    fn bit(&self, slot: u64) -> (usize, u64) {
+        debug_assert!(slot < self.geom.slots);
+        (self.word_base + (slot / 64) as usize, 1 << (slot % 64))
+    }
 }
 
 /// The slab store: every slab of every class, anchored in one pool
-/// region. Purely mechanical — placement policy lives in
-/// [`crate::heap::PmemHeap`].
+/// region, with occupancy in DRAM. Purely mechanical — placement policy
+/// lives in [`crate::heap::PmemHeap`]. Clones share one occupancy bitset.
 #[derive(Debug, Clone)]
 pub struct SlabStore {
     slabs: Vec<Slab>,
@@ -85,77 +100,48 @@ pub struct SlabStore {
     /// `k`-th slab).
     per_class: u64,
     total_slots: u64,
+    occupancy: Arc<[AtomicU64]>,
 }
 
 impl SlabStore {
     /// Pool bytes the store needs for `config`, excluding any caller
-    /// header (each slab costs a cacheline-rounded bitmap plus a
-    /// cacheline-rounded slot array).
+    /// header (each slab costs a cacheline-rounded slot array).
     pub fn required_size(config: &HeapConfig) -> usize {
         use nvm_pmem::CACHELINE;
-        let mut total = 0;
-        for i in 0..config.classes.len() {
-            let g = config.slab_geometry(i);
-            total += (PmemBitmap::region_size(g.slots).max(8) + CACHELINE
-                + g.slots_bytes()
-                + CACHELINE)
-                * config.slabs_per_class as usize;
-        }
-        total
+        (0..config.classes.len())
+            .map(|i| {
+                (config.slab_geometry(i).slots_bytes() + CACHELINE)
+                    * config.slabs_per_class as usize
+            })
+            .sum()
     }
 
     /// Lays the store out from `ra` (class-major, deterministic — create
-    /// and open must call with identical geometry to agree on offsets).
-    fn assemble(ra: &mut RegionAllocator, config: &HeapConfig) -> Vec<(Region, Slab)> {
+    /// and open must call with identical geometry to agree on offsets),
+    /// with every slot free. Touches no pool byte.
+    pub fn new(ra: &mut RegionAllocator, config: &HeapConfig) -> SlabStore {
         let mut slabs = Vec::new();
         let mut flat = 0u64;
+        let mut words = 0usize;
         for ci in 0..config.classes.len() {
             let g = config.slab_geometry(ci);
             for _ in 0..config.slabs_per_class {
-                let bm = ra.alloc_lines(PmemBitmap::region_size(g.slots).max(8));
-                let slots = ra.alloc_lines(g.slots_bytes());
-                slabs.push((
-                    bm,
-                    Slab {
-                        class_idx: ci,
-                        geom: g,
-                        bitmap: PmemBitmap::attach(bm, g.slots),
-                        slots_region: slots,
-                        flat_base: flat,
-                    },
-                ));
+                slabs.push(Slab {
+                    class_idx: ci,
+                    geom: g,
+                    slots_region: ra.alloc_lines(g.slots_bytes()),
+                    flat_base: flat,
+                    word_base: words,
+                });
                 flat += g.slots;
+                words += g.bitmap_bytes() / 8;
             }
         }
-        slabs
-    }
-
-    /// Creates a fresh store, zeroing every slab bitmap.
-    pub fn create<P: Pmem>(
-        pm: &mut P,
-        ra: &mut RegionAllocator,
-        config: &HeapConfig,
-    ) -> SlabStore {
-        let parts = Self::assemble(ra, config);
-        for (bm_region, slab) in &parts {
-            PmemBitmap::create(pm, *bm_region, slab.geom.slots);
-        }
-        Self::finish(parts, config)
-    }
-
-    /// Attaches to an existing store without touching pmem.
-    pub fn attach(ra: &mut RegionAllocator, config: &HeapConfig) -> SlabStore {
-        let parts = Self::assemble(ra, config);
-        Self::finish(parts, config)
-    }
-
-    fn finish(parts: Vec<(Region, Slab)>, config: &HeapConfig) -> SlabStore {
-        let slabs: Vec<Slab> = parts.into_iter().map(|(_, s)| s).collect();
-        let total_slots = slabs.iter().map(|s| s.geom.slots).sum();
         SlabStore {
             slabs,
             per_class: config.slabs_per_class,
-            total_slots,
+            total_slots: flat,
+            occupancy: (0..words).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -164,7 +150,7 @@ impl SlabStore {
         self.slabs.len()
     }
 
-    /// Total slots across all slabs (the flat claim/cursor space).
+    /// Total slots across all slabs (the flat cursor space).
     pub fn total_slots(&self) -> u64 {
         self.total_slots
     }
@@ -189,47 +175,40 @@ impl SlabStore {
         (rel < slab.geom.slots).then_some((s - 1, rel))
     }
 
-    /// Exclusive-writer allocation in slab `s`: stores `blob` in the
-    /// first free slot at or after `cursor` (wrapping), publishing with
-    /// one failure-atomic bitmap-word commit. Data is persisted *before*
-    /// the bit — a crash in between leaves the slot free.
-    pub fn alloc_in<P: Pmem>(
-        &self,
-        pm: &mut P,
-        s: usize,
-        blob: &[u8],
-        cursor: u64,
-    ) -> Result<(PmemPtr, u64), AllocError> {
-        let slab = &self.slabs[s];
-        debug_assert!(blob.len() <= slab.geom.slot_size as usize - LEN_PREFIX);
-        let n = slab.geom.slots;
-        let start = cursor % n;
-        let slot = slab
-            .bitmap
-            .find_zero_in_range(pm, start, n - start)
-            .or_else(|| slab.bitmap.find_zero_in_range(pm, 0, start))
-            .ok_or(AllocError::OutOfMemory)?;
-        let off = slab.slot_off(slot) as usize;
-        // Data first...
-        pm.write_u64(off, blob.len() as u64);
-        if !blob.is_empty() {
-            pm.write(off + LEN_PREFIX, blob);
+    /// The slab and slot whose start is pool offset `ptr`, allocated or
+    /// not.
+    fn locate(&self, ptr: PmemPtr) -> Option<(usize, u64)> {
+        self.slabs
+            .iter()
+            .enumerate()
+            .find_map(|(s, slab)| slab.slot_of(ptr.0).map(|slot| (s, slot)))
+    }
+
+    /// Bit stores are `Release` and loads `Acquire`: a reader that sees a
+    /// slot's bit set also sees the blob bytes written before it was set.
+    /// Writers are exclusive (the owner's latch); lock-free readers
+    /// validate with the owner's seqlock.
+    fn set_bit(&self, s: usize, slot: u64, value: bool) {
+        let (w, mask) = self.slabs[s].bit(slot);
+        if value {
+            self.occupancy[w].fetch_or(mask, Ordering::Release);
+        } else {
+            self.occupancy[w].fetch_and(!mask, Ordering::Release);
         }
-        pm.persist(off, LEN_PREFIX + blob.len());
-        // ...then the atomic commit.
-        slab.bitmap.set_and_persist(pm, slot, true);
-        Ok((PmemPtr(off as u64), slot))
+    }
+
+    /// Whether slot `slot` of slab `s` is allocated.
+    pub fn slot_allocated(&self, s: usize, slot: u64) -> bool {
+        let (w, mask) = self.slabs[s].bit(slot);
+        self.occupancy[w].load(Ordering::Acquire) & mask != 0
     }
 
     /// First free slot of slab `s` at or after `cursor` (wrapping), with
-    /// candidates for which `staged` returns `true` skipped — the scan
-    /// half of [`SlabStore::alloc_in`] split out so a fence-coalesced
-    /// batch can place several blobs in one slab *before* any of their
-    /// occupancy bits commit (the bitmap still reads those slots as
-    /// free, so the batch itself must veto them).
-    pub fn find_free_skipping<R: PmemRead>(
+    /// candidates for which `staged` returns `true` skipped — so a
+    /// fence-coalesced batch can place several blobs in one slab before
+    /// any of their bits are set.
+    pub fn find_free_skipping(
         &self,
-        pm: &R,
         s: usize,
         cursor: u64,
         staged: impl Fn(u64) -> bool,
@@ -237,156 +216,129 @@ impl SlabStore {
         let slab = &self.slabs[s];
         let n = slab.geom.slots;
         let start = cursor % n;
-        // Two linear segments, exactly like alloc_in's wrap: [start, n)
-        // then [0, start). Each skip advances the probe, so both loops
-        // terminate.
-        for (mut probe, end) in [(start, n), (0, start)] {
-            while probe < end {
-                let Some(slot) = slab.bitmap.find_zero_in_range(pm, probe, end - probe) else {
-                    break;
-                };
-                if !staged(slot) {
-                    return Some(slot);
+        // Two linear segments: [start, n) then [0, start).
+        for (lo, hi) in [(start, n), (0, start)] {
+            let mut probe = lo;
+            while probe < hi {
+                let (w, _) = slab.bit(probe);
+                let word = self.occupancy[w].load(Ordering::Acquire);
+                // Free bits of this word at or after `probe`.
+                let mut free = !word & (u64::MAX << (probe % 64));
+                let word_end = (probe - probe % 64 + 64).min(hi);
+                while free != 0 {
+                    let slot = probe - probe % 64 + free.trailing_zeros() as u64;
+                    if slot >= word_end {
+                        break;
+                    }
+                    if !staged(slot) {
+                        return Some(slot);
+                    }
+                    free &= free - 1;
                 }
-                probe = slot + 1;
+                probe = word_end;
             }
         }
         None
     }
 
-    /// Stage half of a fence-coalesced batched allocation: writes `blob`
-    /// (length prefix + bytes) into free slot `slot` of slab `s` and
-    /// flushes the lines, but issues **no fence and no bitmap commit** —
-    /// the slot still reads as free and the bytes are unreachable. The
-    /// batch completes with one [`SlabStore::publish_staged`] call.
-    pub fn stage_write<P: Pmem>(&self, pm: &mut P, s: usize, slot: u64, blob: &[u8]) -> PmemPtr {
+    /// Writes `blob` (length prefix + bytes) into free slot `slot` of
+    /// slab `s`, returning the pool range to persist.
+    fn write_blob<P: Pmem>(&self, pm: &mut P, s: usize, slot: u64, blob: &[u8]) -> (usize, usize) {
         let slab = &self.slabs[s];
         debug_assert!(blob.len() <= slab.geom.slot_size as usize - LEN_PREFIX);
-        debug_assert!(!slab.bitmap.get(pm, slot), "staging into an allocated slot");
+        debug_assert!(!self.slot_allocated(s, slot), "writing an allocated slot");
         let off = slab.slot_off(slot) as usize;
         pm.write_u64(off, blob.len() as u64);
         if !blob.is_empty() {
             pm.write(off + LEN_PREFIX, blob);
         }
-        pm.flush(off, LEN_PREFIX + blob.len());
+        (off, LEN_PREFIX + blob.len())
+    }
+
+    /// Exclusive-writer allocation in slab `s`: stores `blob` in the
+    /// first free slot at or after `cursor` (wrapping). Costs the blob's
+    /// lines plus one fence; the slot's DRAM bit is set once the blob is
+    /// durable, so the caller may link the pointer as soon as this
+    /// returns.
+    pub fn alloc_in<P: Pmem>(
+        &self,
+        pm: &mut P,
+        s: usize,
+        blob: &[u8],
+        cursor: u64,
+    ) -> Result<(PmemPtr, u64), AllocError> {
+        let slot = self
+            .find_free_skipping(s, cursor, |_| false)
+            .ok_or(AllocError::OutOfMemory)?;
+        let (off, len) = self.write_blob(pm, s, slot, blob);
+        pm.persist(off, len);
+        self.set_bit(s, slot, true);
+        Ok((PmemPtr(off as u64), slot))
+    }
+
+    /// Stage half of a fence-coalesced batched allocation: writes `blob`
+    /// into free slot `slot` of slab `s` and flushes its lines, with no
+    /// fence and no bit set. The batch completes with one
+    /// [`SlabStore::publish_staged`] call.
+    pub fn stage_write<P: Pmem>(&self, pm: &mut P, s: usize, slot: u64, blob: &[u8]) -> PmemPtr {
+        let (off, len) = self.write_blob(pm, s, slot, blob);
+        pm.flush(off, len);
         PmemPtr(off as u64)
     }
 
     /// Commit half of a fence-coalesced batched allocation: one fence
-    /// orders every staged blob's flushed data, then each staged slot's
-    /// bit is set atomically and its bitmap word flushed (words deduped),
-    /// then one closing fence commits the batch — K allocations for 2
-    /// fences instead of 2K.
-    ///
-    /// Crash ordering matches [`SlabStore::alloc_in`] exactly: data is
-    /// durable before any bit commits, and each bit set is an individual
-    /// failure-atomic 8-byte store, so a crash mid-publish leaves an
-    /// arbitrary *subset* of the batch allocated — every committed slot
-    /// holds intact bytes, every uncommitted slot still reads as free.
+    /// makes every staged blob durable, then each staged slot's DRAM bit
+    /// is set — K allocations for one fence instead of K.
     pub fn publish_staged<P: Pmem>(&self, pm: &mut P, staged: &[(usize, u64)]) {
         if staged.is_empty() {
             return;
         }
         pm.fence();
-        let mut words: Vec<usize> = Vec::with_capacity(staged.len());
         for &(s, slot) in staged {
-            let slab = &self.slabs[s];
-            slab.bitmap.set_volatile(pm, slot, true);
-            words.push(slab.bitmap.word_off_of(slot));
+            self.set_bit(s, slot, true);
         }
-        words.sort_unstable();
-        words.dedup();
-        for w in words {
-            pm.flush(w, 8);
-        }
-        pm.fence();
-    }
-
-    /// Shared-writer allocation in slab `s` — the `CellStore`
-    /// try_publish choreography on slot granularity. `claims` must span
-    /// [`SlabStore::total_slots`] flat slot indices and be shared by all
-    /// writers of this store:
-    ///
-    /// 1. claim the candidate slot in DRAM (losers move on),
-    /// 2. re-check its bit (a racer may have committed before we claimed),
-    /// 3. write and persist the blob — exclusively ours under the claim,
-    /// 4. commit with a bit-arbitrated CAS and release the claim.
-    pub fn try_alloc_in<W: PmemWrite>(
-        &self,
-        w: &W,
-        claims: &CellClaims,
-        s: usize,
-        blob: &[u8],
-        cursor: u64,
-    ) -> Result<(PmemPtr, u64), AllocError> {
-        let slab = &self.slabs[s];
-        debug_assert!(blob.len() <= slab.geom.slot_size as usize - LEN_PREFIX);
-        let n = slab.geom.slots;
-        let mut probe = cursor % n;
-        for _ in 0..n {
-            if let Some(slot) = slab
-                .bitmap
-                .find_zero_in_range(w, probe, n - probe)
-                .or_else(|| slab.bitmap.find_zero_in_range(w, 0, probe))
-            {
-                let flat = slab.flat_base + slot;
-                if !claims.try_claim(flat) {
-                    // Another writer is mid-publish here; probe past it.
-                    probe = (slot + 1) % n;
-                    continue;
-                }
-                if slab.bitmap.get(w, slot) {
-                    // Committed between our scan and our claim.
-                    claims.release(flat);
-                    probe = (slot + 1) % n;
-                    continue;
-                }
-                let off = slab.slot_off(slot) as usize;
-                w.write_u64(off, blob.len() as u64);
-                if !blob.is_empty() {
-                    w.write(off + LEN_PREFIX, blob);
-                }
-                w.persist(off, LEN_PREFIX + blob.len());
-                let won = slab.bitmap.try_set_and_persist(w, slot, true).is_ok();
-                claims.release(flat);
-                debug_assert!(won, "claimed slot was stolen");
-                return Ok((PmemPtr(off as u64), slot));
-            }
-            return Err(AllocError::OutOfMemory);
-        }
-        Err(AllocError::OutOfMemory)
     }
 
     /// Resolves `ptr` to its slab and slot, requiring the slot to be
     /// allocated.
-    pub fn resolve<R: PmemRead>(&self, pm: &R, ptr: PmemPtr) -> Result<(usize, u64), AllocError> {
-        for (s, slab) in self.slabs.iter().enumerate() {
-            if let Some(slot) = slab.slot_of(ptr.0) {
-                if slab.bitmap.get(pm, slot) {
-                    return Ok((s, slot));
-                }
-                return Err(AllocError::BadPointer(ptr));
-            }
+    pub fn resolve(&self, ptr: PmemPtr) -> Result<(usize, u64), AllocError> {
+        match self.locate(ptr) {
+            Some((s, slot)) if self.slot_allocated(s, slot) => Ok((s, slot)),
+            _ => Err(AllocError::BadPointer(ptr)),
         }
-        Err(AllocError::BadPointer(ptr))
     }
 
-    /// Frees the slot at `ptr` with one 8-byte atomic bitmap store and no
-    /// flush or fence. Returns the slab and slot freed.
+    /// Frees the slot at `ptr` by clearing its DRAM bit; writes no pool
+    /// byte. Returns the slab and slot freed.
     ///
     /// **Ordering contract.** The caller must issue the free only after
-    /// the fence that durably unlinks `ptr` from its owner. The clear is
-    /// then never needed for safety: if a crash drops it, the slot is
-    /// allocated but unreachable — a leak the owner's GC sweep
-    /// reclaims — and if it survives, nothing points at the slot. A
-    /// reallocation of the slot before the clear is durable is safe too:
-    /// the allocation persists the slot's bitmap word (clear included)
-    /// before the new owner can link it, and a crash earlier leaves at
-    /// worst a leaked slot holding part of the new blob.
-    pub fn free<P: Pmem>(&self, pm: &mut P, ptr: PmemPtr) -> Result<(usize, u64), AllocError> {
-        let (s, slot) = self.resolve(pm, ptr)?;
-        self.slabs[s].bitmap.set_volatile(pm, slot, false);
+    /// the fence that durably unlinks `ptr` from its owner, so the slot
+    /// is never reallocated while a durable pointer still names it.
+    pub fn free(&self, ptr: PmemPtr) -> Result<(usize, u64), AllocError> {
+        let (s, slot) = self.resolve(ptr)?;
+        self.set_bit(s, slot, false);
         Ok((s, slot))
+    }
+
+    /// Resets occupancy to exactly the slots named by `live` — the
+    /// owner's persistent pointers — and frees every other slot.
+    ///
+    /// A pointer that is not a slot start inside the store is
+    /// [`AllocError::BadPointer`]; a slot named twice is
+    /// [`AllocError::DuplicatePointer`]. On error the occupancy is
+    /// partial and the store must not be used.
+    pub fn rebuild(&self, live: impl IntoIterator<Item = PmemPtr>) -> Result<(), AllocError> {
+        for w in self.occupancy.iter() {
+            w.store(0, Ordering::Release);
+        }
+        for ptr in live {
+            let (s, slot) = self.locate(ptr).ok_or(AllocError::BadPointer(ptr))?;
+            if self.slot_allocated(s, slot) {
+                return Err(AllocError::DuplicatePointer(ptr));
+            }
+            self.set_bit(s, slot, true);
+        }
+        Ok(())
     }
 
     /// Reads the blob at `ptr`. A length prefix exceeding the slot's
@@ -394,7 +346,7 @@ impl SlabStore {
     /// writer, or media corruption — is an error, never a read past the
     /// slot's bounds.
     pub fn read<R: PmemRead>(&self, pm: &R, ptr: PmemPtr) -> Result<Vec<u8>, AllocError> {
-        let (s, _) = self.resolve(pm, ptr)?;
+        let (s, _) = self.resolve(ptr)?;
         let len = pm.read_u64(ptr.0 as usize) as usize;
         if len > self.slabs[s].geom.slot_size as usize - LEN_PREFIX {
             return Err(AllocError::BadPointer(ptr));
@@ -407,20 +359,15 @@ impl SlabStore {
     }
 
     /// True if `ptr` names a currently-allocated slot.
-    pub fn is_allocated<R: PmemRead>(&self, pm: &R, ptr: PmemPtr) -> bool {
-        self.resolve(pm, ptr).is_ok()
+    pub fn is_allocated(&self, ptr: PmemPtr) -> bool {
+        self.resolve(ptr).is_ok()
     }
 
-    /// Whether slot `slot` of slab `s` is allocated.
-    pub fn slot_allocated<R: PmemRead>(&self, pm: &R, s: usize, slot: u64) -> bool {
-        self.slabs[s].bitmap.get(pm, slot)
-    }
-
-    /// Visits every allocated slot (for mark-and-sweep by owners).
-    pub fn for_each_allocated<R: PmemRead>(&self, pm: &R, mut f: impl FnMut(PmemPtr)) {
-        for slab in &self.slabs {
+    /// Visits every allocated slot.
+    pub fn for_each_allocated(&self, mut f: impl FnMut(PmemPtr)) {
+        for (s, slab) in self.slabs.iter().enumerate() {
             for slot in 0..slab.geom.slots {
-                if slab.bitmap.get(pm, slot) {
+                if self.slot_allocated(s, slot) {
                     f(PmemPtr(slab.slot_off(slot)));
                 }
             }
@@ -428,8 +375,13 @@ impl SlabStore {
     }
 
     /// Allocated slots in slab `s`.
-    pub fn live_slots<R: PmemRead>(&self, pm: &R, s: usize) -> u64 {
-        self.slabs[s].bitmap.count_ones(pm)
+    pub fn live_slots(&self, s: usize) -> u64 {
+        let slab = &self.slabs[s];
+        let words = slab.geom.bitmap_bytes() / 8;
+        self.occupancy[slab.word_base..slab.word_base + words]
+            .iter()
+            .map(|w| u64::from(w.load(Ordering::Acquire).count_ones()))
+            .sum()
     }
 }
 
@@ -453,9 +405,9 @@ mod tests {
             slabs_per_class: 2,
         };
         let size = SlabStore::required_size(&cfg);
-        let mut pm = SimPmem::new(size, SimConfig::fast_test());
+        let pm = SimPmem::new(size, SimConfig::fast_test());
         let mut ra = RegionAllocator::new(0, size);
-        let store = SlabStore::create(&mut pm, &mut ra, &cfg);
+        let store = SlabStore::new(&mut ra, &cfg);
         (pm, store)
     }
 
@@ -465,10 +417,10 @@ mod tests {
         let (p, slot) = store.alloc_in(&mut pm, 1, b"second slab of class 0", 0).unwrap();
         assert_eq!(slot, 0);
         assert_eq!(store.read(&pm, p).unwrap(), b"second slab of class 0");
-        assert_eq!(store.live_slots(&pm, 1), 1);
-        assert_eq!(store.live_slots(&pm, 0), 0);
-        assert_eq!(store.free(&mut pm, p).unwrap(), (1, 0));
-        assert!(!store.is_allocated(&pm, p));
+        assert_eq!(store.live_slots(1), 1);
+        assert_eq!(store.live_slots(0), 0);
+        assert_eq!(store.free(p).unwrap(), (1, 0));
+        assert!(!store.is_allocated(p));
     }
 
     #[test]
@@ -501,37 +453,30 @@ mod tests {
     }
 
     #[test]
-    fn shared_alloc_racers_get_distinct_slots() {
+    fn clones_share_occupancy() {
         let (mut pm, store) = setup();
-        let w = pm.write_handle();
-        let claims = CellClaims::new(store.total_slots());
-        let ptrs: Vec<PmemPtr> = std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..4)
-                .map(|t| {
-                    let w = w.clone();
-                    let claims = &claims;
-                    let store = &store;
-                    sc.spawn(move || {
-                        (0..4)
-                            .map(|i| {
-                                let blob = [t as u8 * 16 + i as u8; 24];
-                                store.try_alloc_in(&w, claims, 0, &blob, 0).unwrap().0
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-        });
-        // 16 allocations, 16 distinct slots, slab exactly full.
-        let mut uniq = ptrs.clone();
-        uniq.sort();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 16);
-        assert_eq!(store.live_slots(&pm, 0), 16);
-        assert_eq!(
-            store.try_alloc_in(&w, &claims, 0, &[0; 24], 0),
-            Err(AllocError::OutOfMemory)
-        );
+        let view = store.clone();
+        let (p, _) = store.alloc_in(&mut pm, 0, b"seen by the clone", 0).unwrap();
+        assert_eq!(view.read(&pm, p).unwrap(), b"seen by the clone");
+        store.free(p).unwrap();
+        assert!(!view.is_allocated(p));
+    }
+
+    #[test]
+    fn rebuild_marks_exactly_the_named_slots() {
+        let (mut pm, store) = setup();
+        let a = store.alloc_in(&mut pm, 0, b"a", 0).unwrap().0;
+        let b = store.alloc_in(&mut pm, 2, b"b", 0).unwrap().0;
+        store.alloc_in(&mut pm, 3, b"unreferenced", 0).unwrap();
+        store.rebuild([a, b]).unwrap();
+        let mut live = vec![];
+        store.for_each_allocated(|p| live.push(p));
+        assert_eq!(live, vec![a, b]);
+        // Not a slot start, outside the store, or named twice.
+        let odd = PmemPtr(a.0 + 8);
+        assert_eq!(store.rebuild([odd]), Err(AllocError::BadPointer(odd)));
+        let outside = PmemPtr(1 << 40);
+        assert_eq!(store.rebuild([outside]), Err(AllocError::BadPointer(outside)));
+        assert_eq!(store.rebuild([a, b, a]), Err(AllocError::DuplicatePointer(a)));
     }
 }

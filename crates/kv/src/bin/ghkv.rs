@@ -32,7 +32,7 @@ fn usage() -> ! {
          list [--limit N]                     print entries\n  \
          stats                                entry/slot/pool statistics\n  \
          metrics                              observability snapshot (JSON)\n  \
-         gc                                   sweep leaked heap slots"
+         gc                                   compact the value heap"
     );
     exit(2)
 }
@@ -175,7 +175,7 @@ fn main() {
             let store = load(&pool);
             let (entries, slots) = store.usage();
             println!("entries: {entries}");
-            println!("slots:   {slots} ({} leaked)", slots - entries);
+            println!("slots:   {slots}");
             store
                 .check_consistency()
                 .map(|_| println!("status:  consistent"))
@@ -199,9 +199,9 @@ fn main() {
                 usage();
             }
             let store = load(&pool);
-            let n = store.gc();
+            let freed = store.gc().unwrap_or_else(|e| fail(e));
             save(&pool, store);
-            println!("reclaimed {n} leaked slots");
+            println!("gc: freed {freed} unreferenced slots");
         }
         _ => usage(),
     }

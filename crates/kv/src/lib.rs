@@ -16,30 +16,31 @@
 //! # Crash consistency, without a log
 //!
 //! Every mutation is a sequence of individually-committed steps ordered
-//! so that a crash anywhere leaves the store *consistent*, at worst
-//! *leaking* heap slots that [`PmemKv::gc`] reclaims:
+//! so that a crash anywhere leaves the store *consistent*:
 //!
-//! * **insert**: commit blob → commit index entry. Crash between: an
-//!   unreferenced blob (leak).
-//! * **update**: commit new blob → atomically swap the 8-byte pointer in
-//!   the index (old value or new value, never torn) → free old blob.
-//!   Crash windows leak either the new or the old blob.
-//! * **delete**: remove index entry (atomic bitmap clear) → free blob.
-//!   Crash between: a leak.
+//! * **insert**: make the blob durable → commit the index entry.
+//! * **update**: make the new blob durable → atomically swap the 8-byte
+//!   pointer in the index (old value or new value, never torn) → free
+//!   the old blob.
+//! * **delete**: remove the index entry (atomic bitmap clear) → free the
+//!   blob.
 //!
-//! A free clears the blob's heap bit without a flush or fence: it runs
-//! only after the fence that durably unlinked the blob, so a crash that
-//! drops the clear leaks the blob, like the windows above. Opening a
-//! pool without [`PmemKv::recover`] after an unclean shutdown may
-//! therefore report more heap slots than index entries.
+//! The index is the heap's only allocation record. Heap occupancy lives
+//! in DRAM, and opening a store and [`PmemKv::recover`] rebuild it from
+//! the index's entries, so after any crash a heap slot is allocated
+//! exactly when the index names it: a blob whose link never committed,
+//! or whose unlink did, is simply free again. An allocation therefore
+//! flushes only its blob, a free writes nothing to the pool, and
+//! recovery runs no sweep. The rebuild rejects an index pointer that is
+//! not a heap slot start, or that two entries share, with
+//! [`KvError::Corrupt`].
 //!
 //! The index itself is exactly the paper's structure, so its own
 //! crash-recovery story (Algorithm 4) carries over; [`PmemKv::recover`]
-//! runs it and then runs [`PmemKv::gc_recover`] — the heap's bounded,
-//! crash-resumable GC drainer driven with the index as [`GcOwner`] —
-//! until every unreachable blob is reclaimed. The same drainer is
-//! available incrementally online via [`PmemKv::gc_step`] /
-//! [`PmemKv::gc_pending`], mirroring `migrate_into`'s choreography.
+//! runs it and then rebuilds the heap's occupancy from the repaired
+//! index. The heap's bounded compactor is available online via
+//! [`PmemKv::gc_step`] / [`PmemKv::gc_pending`], driven with the index
+//! as [`GcOwner`].
 
 use group_hash::{CommitStrategy, FpMode, GroupHash, GroupHashConfig, GroupReadView};
 use nvm_alloc::{AllocError, FragStats, GcOwner, HeapConfig, HeapReadView, PmemHeap, PmemPtr};
@@ -216,6 +217,24 @@ pub struct PmemKv<P: Pmem> {
     region: Region,
 }
 
+/// Every heap pointer the index holds — the heap's live set.
+fn index_ptrs<P: Pmem>(index: &GroupHash<P, [u8; 16], u64>, pm: &P) -> Vec<PmemPtr> {
+    let mut ptrs = Vec::with_capacity(index.len(pm) as usize);
+    index.for_each_entry(pm, |_, ptr| ptrs.push(PmemPtr(ptr)));
+    ptrs
+}
+
+/// Maps a failed occupancy rebuild to the engine's error: a pointer the
+/// index should never hold is corruption, anything else is the heap's.
+fn rebuild_error(e: AllocError) -> KvError {
+    match e {
+        AllocError::BadPointer(_) | AllocError::DuplicatePointer(_) => {
+            KvError::Corrupt(format!("index names a bad heap pointer: {e}"))
+        }
+        e => KvError::Heap(e),
+    }
+}
+
 /// The index as the heap's [`GcOwner`]: a blob is live iff its stored
 /// key's fingerprint maps to exactly that blob's pointer, and a repoint
 /// is the same atomic in-place pointer swap updates use.
@@ -334,12 +353,14 @@ impl<P: Pmem> PmemKv<P> {
     }
 
     /// Re-opens a store from its persisted header — no configuration
-    /// needed.
+    /// needed. Heap occupancy is rebuilt from the index, so it is exact
+    /// even after an unclean shutdown; [`PmemKv::recover`] is still
+    /// needed to repair the index itself.
     pub(crate) fn open(pm: &mut P, region: Region) -> Result<Self, KvError> {
         let config = Self::read_config(pm, region)?;
         let (_, index_r, heap_r) = Self::split(region, &config)?;
         let index = GroupHash::open(pm, index_r).map_err(KvError::Table)?;
-        let heap = PmemHeap::open(pm, heap_r).map_err(KvError::Heap)?;
+        let heap = PmemHeap::open(pm, heap_r, index_ptrs(&index, pm)).map_err(rebuild_error)?;
         Ok(PmemKv {
             index,
             heap,
@@ -369,8 +390,8 @@ impl<P: Pmem> PmemKv<P> {
                 match self.index.insert(pm, fp, ptr.0) {
                     Ok(()) => Ok(()),
                     Err(InsertError::TableFull) => {
-                        // Index refused: roll the blob back (still crash
-                        // safe — worst case it leaks and gc reclaims).
+                        // Index refused: roll the blob back (nothing
+                        // links it, so a crash here frees it too).
                         let _ = self.heap.free(pm, ptr);
                         Err(KvError::IndexFull)
                     }
@@ -382,21 +403,21 @@ impl<P: Pmem> PmemKv<P> {
 
     /// Stores many pairs with fence-coalesced heap *and* index commits.
     ///
-    /// All K blobs commit through one [`PmemHeap::alloc_batch`] (2
-    /// fences for the whole batch instead of 2 per blob). Then one
+    /// All K blobs become durable through one [`PmemHeap::alloc_batch`]
+    /// (1 fence for the whole batch instead of 1 per blob). Then one
     /// [`GroupHash::update_batch`] swaps every stored key's pointer in
     /// place under a single shared fence, and the I keys it did not find
     /// group-commit through the index's batch insert (~I+2 fences
     /// instead of 3I). The replaced blobs are freed after the swap fence,
-    /// which costs no flush and no fence. End to end a batch costs 2
-    /// fences for the heap, 1 for all its swaps (if any key was stored)
-    /// and ~I+2 for its fresh inserts (if any): 3 for an all-update
-    /// batch, ~K+4 for K fresh inserts — the engine-level realization of
+    /// which writes nothing to the pool. End to end a batch costs 1
+    /// fence for the heap, 1 for all its swaps (if any key was stored)
+    /// and ~I+2 for its fresh inserts (if any): 2 for an all-update
+    /// batch, ~K+3 for K fresh inserts — the engine-level realization of
     /// the paper's group-commit arithmetic.
-    /// Crash ordering is unchanged: blobs commit before index entries,
-    /// each swap lands whole or not at all, and a crash mid-batch
-    /// durably keeps some prefix of the new entries (the rest leak and
-    /// [`PmemKv::gc`] reclaims them).
+    /// Crash ordering: blobs are durable before index entries, each swap
+    /// lands whole or not at all, and a crash mid-batch durably keeps
+    /// some prefix of the new entries (the rest are unreferenced, and
+    /// the occupancy rebuild frees them).
     ///
     /// Duplicate keys within the batch collapse in DRAM (last write
     /// wins) before anything touches the pool. If the heap cannot place
@@ -420,9 +441,9 @@ impl<P: Pmem> PmemKv<P> {
                 }
             }
         }
-        // Pass two: commit every blob with one fence-coalesced heap
-        // batch. On failure the heap committed nothing, so neither did
-        // the store.
+        // Pass two: make every blob durable with one fence-coalesced heap
+        // batch. On failure the heap allocated nothing, so the store is
+        // unchanged.
         let blobs: Vec<Vec<u8>> = ops.iter().map(|(_, k, v)| encode_blob(k, v)).collect();
         let blob_refs: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
         let ptrs = self.heap.alloc_batch(pm, &blob_refs)?;
@@ -524,9 +545,8 @@ impl<P: Pmem> PmemKv<P> {
     /// returns, per key in input order, whether this call removed it: the
     /// first occurrence of a present key answers `true`, later duplicates
     /// `false` (the key is already gone when their turn comes). Index
-    /// entries retract first, then the blobs free — a crash between the
-    /// two leaks, which [`PmemKv::gc`] reclaims, exactly like single-key
-    /// deletes.
+    /// entries retract first, then the blobs free, exactly like
+    /// single-key deletes.
     pub fn delete_batch(&mut self, pm: &mut P, keys: &[&[u8]]) -> Vec<bool> {
         let mut fps: Vec<[u8; 16]> = Vec::new();
         let mut ptrs: Vec<u64> = Vec::new();
@@ -569,46 +589,40 @@ impl<P: Pmem> PmemKv<P> {
         self.len(pm) == 0
     }
 
-    /// Post-crash recovery: repairs the index (Algorithm 4), then runs
-    /// the heap drainer until every unreachable blob — leaked by a crash
-    /// mid-`set`/`set_batch`/`delete` or orphaned by an interrupted GC
-    /// move — is reclaimed. Returns the number of leaks reclaimed.
-    pub fn recover(&mut self, pm: &mut P) -> u64 {
+    /// Post-crash recovery: repairs the index (Algorithm 4), then
+    /// rebuilds heap occupancy from the repaired index, so afterwards a
+    /// heap slot is allocated exactly when an index entry names it
+    /// (`usage()` entries == slots). Fails with [`KvError::Corrupt`] if
+    /// an index pointer is not a heap slot start or two entries share
+    /// one.
+    pub fn recover(&mut self, pm: &mut P) -> Result<(), KvError> {
         self.index.recover(pm);
-        self.gc_recover(pm)
+        let live = index_ptrs(&self.index, pm);
+        self.heap.rebuild(live).map_err(rebuild_error)
     }
 
-    /// The recovery-time heap sweep: finishes any GC pass interrupted by
-    /// a crash, then runs one full fresh pass, so afterwards *every*
-    /// heap slot is referenced by the index (`usage()` entries == slots).
-    /// Returns the number of unreachable blobs reclaimed.
-    pub fn gc_recover(&mut self, pm: &mut P) -> u64 {
-        self.gc(pm)
-    }
-
-    /// Reclaims unreachable heap blobs by running the heap's GC drainer
-    /// to completion (resuming an interrupted pass first). Returns the
-    /// number reclaimed.
-    pub fn gc(&mut self, pm: &mut P) -> u64 {
+    /// Runs the heap's GC pass to completion (finishing one in flight
+    /// first): frees blobs the index does not name and compacts sparse
+    /// slabs. Returns the number of unreferenced blobs freed — zero
+    /// unless the heap was used behind the index's back.
+    pub fn gc(&mut self, pm: &mut P) -> Result<u64, KvError> {
         let mut owner = IndexOwner {
             index: &mut self.index,
         };
-        self.heap
-            .gc_full(pm, &mut owner)
-            .expect("heap GC over its own pointers cannot fail")
+        self.heap.gc_full(pm, &mut owner).map_err(KvError::Heap)
     }
 
-    /// True while a GC pass is in flight (persisted; survives crashes).
+    /// True while a GC pass is in flight (volatile; a restart ends it).
     /// Keep calling [`PmemKv::gc_step`] until it returns `Ok(false)`.
-    pub fn gc_pending(&self, pm: &P) -> bool {
-        self.heap.gc_pending(pm)
+    pub fn gc_pending(&self) -> bool {
+        self.heap.gc_pending()
     }
 
     /// Runs one bounded GC increment over up to `max_slots` heap slots —
-    /// the online counterpart of [`PmemKv::gc_recover`], shaped exactly
-    /// like [`PmemKv::migrate_into`]: a persisted cursor makes the drain
-    /// resumable across crashes, dead blobs are freed, and live blobs in
-    /// sparse slabs are compacted with at most one transient duplicate.
+    /// the online counterpart of [`PmemKv::gc`], shaped like
+    /// [`PmemKv::migrate_into`]: unreferenced blobs are freed, and live
+    /// blobs in sparse slabs are compacted by copy → pointer swap → free,
+    /// so a crash anywhere leaves the index naming an intact blob.
     /// Returns `Ok(true)` while the pass is incomplete.
     pub fn gc_step(&mut self, pm: &mut P, max_slots: u64) -> Result<bool, KvError> {
         let mut owner = IndexOwner {
@@ -621,16 +635,23 @@ impl<P: Pmem> PmemKv<P> {
 
     /// Structural validation: index invariants, every index pointer
     /// resolves to an allocated blob whose stored key fingerprints back
-    /// to its index cell, and no two entries share a blob.
+    /// to its index cell, no two entries share a blob, and no other heap
+    /// slot is allocated.
     pub fn check_consistency(&self, pm: &P) -> Result<(), KvError> {
-        use nvm_table::HashScheme;
         self.index.check_consistency(pm)?;
+        self.check_heap_links(pm)
+    }
+
+    /// The heap half of [`PmemKv::check_consistency`]. Holds right after
+    /// `open`, before [`PmemKv::recover`] repairs the index's own torn
+    /// cells.
+    fn check_heap_links(&self, pm: &P) -> Result<(), KvError> {
         let mut entries = Vec::new();
         self.index.for_each_entry(pm, |fp, ptr| {
             entries.push((fp, ptr));
         });
         let mut seen = HashSet::new();
-        for (fp, ptr) in entries {
+        for &(fp, ptr) in &entries {
             if !seen.insert(ptr) {
                 return Err(KvError::Corrupt(format!("blob {ptr:#x} referenced twice")));
             }
@@ -644,6 +665,13 @@ impl<P: Pmem> PmemKv<P> {
                     "blob {ptr:#x} key does not match its fingerprint"
                 )));
             }
+        }
+        let slots = self.heap.allocated();
+        if slots != entries.len() as u64 {
+            return Err(KvError::Corrupt(format!(
+                "{slots} heap slots allocated for {} index entries",
+                entries.len()
+            )));
         }
         Ok(())
     }
@@ -730,10 +758,14 @@ impl<P: Pmem> PmemKv<P> {
         Ok(true)
     }
 
-    /// (index entries, heap slots allocated) — equal when there are no
-    /// leaks.
+    /// (index entries, heap slots allocated) — equal by construction,
+    /// right after `open` too: entries are counted from the index's
+    /// occupied cells, not its persisted counter (which only
+    /// [`PmemKv::recover`] repairs). Scans the index.
     pub fn usage(&self, pm: &P) -> (u64, u64) {
-        (self.index.len(pm), self.heap.allocated(pm))
+        let mut entries = 0;
+        self.index.for_each_entry(pm, |_, _| entries += 1);
+        (entries, self.heap.allocated())
     }
 
     /// The heap's fragmentation snapshot (live blob bytes vs allocated
@@ -843,6 +875,7 @@ mod tests {
     // The engine tests exercise `PmemKv` directly, below the `Store`
     // facade.
     use super::*;
+    use nvm_alloc::LEN_PREFIX;
     use nvm_pmem::{CrashResolution, SimConfig, SimPmem};
 
     fn setup(items: u64) -> (SimPmem, PmemKv<SimPmem>, Region, KvConfig) {
@@ -874,6 +907,32 @@ mod tests {
         let src = PmemKv::create(&mut pm, src_region, &src_cfg).unwrap();
         let dst = PmemKv::create(&mut pm, dst_region, &dst_cfg).unwrap();
         (pm, src, dst, src_region, dst_region)
+    }
+
+    /// The end state crash tests assert after `open` and again after
+    /// `recover`: heap occupancy is exactly the index's entries
+    /// (`usage()` equal), each naming its intact blob. The index's own
+    /// torn cells are repaired only by `recover`, so before it the check
+    /// is the heap half of `check_consistency`.
+    fn assert_exact(kv: &PmemKv<SimPmem>, pm: &SimPmem, stage: &str, ctx: &str) {
+        let check = match stage {
+            "open" => kv.check_heap_links(pm),
+            _ => kv.check_consistency(pm),
+        };
+        check.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let (entries, slots) = kv.usage(pm);
+        assert_eq!(entries, slots, "{ctx}: heap occupancy differs from the index");
+    }
+
+    /// Pool offset of the index value word holding `ptr` (the only
+    /// 8-byte word in the pool equal to a heap pointer).
+    fn value_word_of(pm: &SimPmem, ptr: u64) -> usize {
+        let mut hits = (0..pm.len() / 8)
+            .map(|w| w * 8)
+            .filter(|&off| pm.read_u64(off) == ptr);
+        let off = hits.next().expect("pointer not found in the pool");
+        assert!(hits.next().is_none(), "pointer stored twice");
+        off
     }
 
     #[test]
@@ -940,32 +999,35 @@ mod tests {
             .is_ok();
             pm.crash(CrashResolution::Random(at));
 
-            // Reopen, recover, and audit the torn state.
+            // Reopen and audit the torn state, then recover and audit it
+            // again: occupancy is exact from `open` on.
             let mut src = PmemKv::open(&mut pm, src_region).unwrap();
             let mut dst = PmemKv::open(&mut pm, dst_region).unwrap();
-            src.recover(&mut pm);
-            dst.recover(&mut pm);
-            src.check_consistency(&pm)
-                .unwrap_or_else(|e| panic!("src at +{at}: {e}"));
-            dst.check_consistency(&pm)
-                .unwrap_or_else(|e| panic!("dst at +{at}: {e}"));
-            let mut dups = 0u64;
-            for i in 0..n {
-                let key = format!("ck-{i}");
-                let want = vec![i as u8; 9];
-                let s = src.get(&pm, key.as_bytes());
-                let d = dst.get(&pm, key.as_bytes());
-                // Every copy that exists is intact, and at least one does.
-                for got in [&s, &d].into_iter().flatten() {
-                    assert_eq!(*got, want, "{key} at +{at}");
+            for stage in ["open", "recover"] {
+                if stage == "recover" {
+                    src.recover(&mut pm).unwrap();
+                    dst.recover(&mut pm).unwrap();
                 }
-                assert!(s.is_some() || d.is_some(), "{key} lost at +{at}");
-                if s.is_some() && d.is_some() {
-                    dups += 1;
+                assert_exact(&src, &pm, stage, &format!("src after {stage} at +{at}"));
+                assert_exact(&dst, &pm, stage, &format!("dst after {stage} at +{at}"));
+                let mut dups = 0u64;
+                for i in 0..n {
+                    let key = format!("ck-{i}");
+                    let want = vec![i as u8; 9];
+                    let s = src.get(&pm, key.as_bytes());
+                    let d = dst.get(&pm, key.as_bytes());
+                    // Every copy that exists is intact, and at least one does.
+                    for got in [&s, &d].into_iter().flatten() {
+                        assert_eq!(*got, want, "{key} after {stage} at +{at}");
+                    }
+                    assert!(s.is_some() || d.is_some(), "{key} lost after {stage} at +{at}");
+                    if s.is_some() && d.is_some() {
+                        dups += 1;
+                    }
                 }
+                // Only the entry in flight can transiently live in both.
+                assert!(dups <= 1, "{dups} duplicated keys after {stage} at +{at}");
             }
-            // Only the entry in flight can transiently live in both.
-            assert!(dups <= 1, "{dups} duplicated keys at +{at}");
 
             // Resume the drain to completion; the boundary re-move is an
             // idempotent upsert.
@@ -1180,12 +1242,11 @@ mod tests {
     fn gc_reclaims_orphans() {
         let (mut pm, mut kv, _, _) = setup(100);
         kv.set(&mut pm, b"live", b"v").unwrap();
-        // Fabricate a leak: allocate directly in the heap, bypassing the
-        // index (exactly the state a crash between blob and index commit
-        // leaves behind).
+        // Fabricate an orphan: allocate directly in the heap, bypassing
+        // the index.
         kv.heap.alloc(&mut pm, b"orphan").unwrap();
         assert_eq!(kv.usage(&pm), (1, 2));
-        assert_eq!(kv.gc(&mut pm), 1);
+        assert_eq!(kv.gc(&mut pm), Ok(1));
         assert_eq!(kv.usage(&pm), (1, 1));
         assert_eq!(kv.get(&pm, b"live").as_deref(), Some(&b"v"[..]));
         kv.check_consistency(&pm).unwrap();
@@ -1222,44 +1283,33 @@ mod tests {
                 pm.crash(CrashResolution::Random(at));
 
                 let mut kv = PmemKv::open(&mut pm, region).unwrap();
-                let leaks = kv.recover(&mut pm);
-                kv.check_consistency(&pm)
-                    .unwrap_or_else(|e| panic!("{name} crash at +{at}: {e}"));
-                // Stable entry always intact.
-                assert_eq!(
-                    kv.get(&pm, b"stable").as_deref(),
-                    Some(&b"rock"[..]),
-                    "{name} at +{at}"
-                );
-                // The targeted key is in a sane pre- or post-state.
-                match name {
-                    "set-new" => {
-                        let got = kv.get(&pm, b"fresh");
-                        assert!(
-                            got.is_none() || got.as_deref() == Some(b"new"),
-                            "{name} at +{at}: {got:?}"
-                        );
+                for stage in ["open", "recover"] {
+                    if stage == "recover" {
+                        kv.recover(&mut pm).unwrap();
                     }
-                    "update" => {
-                        let got = kv.get(&pm, b"victim");
-                        assert!(
+                    let ctx = format!("{name} after {stage} at +{at}");
+                    assert_exact(&kv, &pm, stage, &ctx);
+                    // Stable entry always intact.
+                    assert_eq!(kv.get(&pm, b"stable").as_deref(), Some(&b"rock"[..]), "{ctx}");
+                    // The targeted key is in a sane pre- or post-state.
+                    let ok = match name {
+                        "set-new" => {
+                            let got = kv.get(&pm, b"fresh");
+                            got.is_none() || got.as_deref() == Some(b"new")
+                        }
+                        "update" => {
+                            let got = kv.get(&pm, b"victim");
                             got.as_deref() == Some(b"old-value")
-                                || got.as_deref() == Some(b"new-value"),
-                            "{name} at +{at}: {got:?}"
-                        );
-                    }
-                    "delete" => {
-                        let got = kv.get(&pm, b"victim");
-                        assert!(
-                            got.is_none() || got.as_deref() == Some(b"old-value"),
-                            "{name} at +{at}: {got:?}"
-                        );
-                    }
-                    _ => unreachable!(),
+                                || got.as_deref() == Some(b"new-value")
+                        }
+                        "delete" => {
+                            let got = kv.get(&pm, b"victim");
+                            got.is_none() || got.as_deref() == Some(b"old-value")
+                        }
+                        _ => unreachable!(),
+                    };
+                    assert!(ok, "{ctx}");
                 }
-                // After recovery there are never leaks left behind.
-                let (entries, slots) = kv.usage(&pm);
-                assert_eq!(entries, slots, "{name} at +{at}: leak survived gc ({leaks})");
                 if done {
                     break;
                 }
@@ -1279,18 +1329,19 @@ mod tests {
         kv0.set(&mut pm0, b"v", b"value-1").unwrap();
         let x = kv0.index.get(&pm0, &fingerprint(b"v")).unwrap();
         kv0.set(&mut pm0, b"stable", b"rock").unwrap();
-        // The update frees X without flushing its bitmap word.
+        // The update frees X in DRAM only; the pool keeps no record of
+        // the free.
         kv0.set(&mut pm0, b"v", b"value-2").unwrap();
-        assert!(!kv0.heap.is_allocated(&pm0, PmemPtr(x)));
+        assert!(!kv0.heap.is_allocated(PmemPtr(x)));
         drop(kv0);
         {
-            // The clear is not durable yet: a crash that drops unflushed
-            // words leaks X to `open`, and `recover` reclaims it.
+            // A crash that drops every unflushed word still reopens with
+            // X free: the index no longer names it.
             let mut pm = pm0.clone();
             pm.crash(CrashResolution::DropUnflushed);
             let mut kv = PmemKv::open(&mut pm, region).unwrap();
-            assert_eq!(kv.usage(&pm), (2, 3), "lost clear shows as a leak");
-            assert_eq!(kv.recover(&mut pm), 1);
+            assert_eq!(kv.usage(&pm), (2, 2), "open is exact");
+            kv.recover(&mut pm).unwrap();
             assert_eq!(kv.usage(&pm), (2, 2));
         }
 
@@ -1320,22 +1371,29 @@ mod tests {
         ];
         let check = |pm: &mut SimPmem, states: &[State]| {
             let mut kv = PmemKv::open(pm, region)?;
-            let leaks = kv.recover(pm);
-            kv.check_consistency(pm)?;
-            let state = (kv.get(pm, b"v"), kv.get(pm, b"w"));
-            let stable = kv.get(pm, b"stable");
-            let (entries, slots) = kv.usage(pm);
-            let ok = stable.as_deref() == Some(b"rock")
-                && states
-                    .iter()
-                    .any(|&(v, w)| (state.0.as_deref(), state.1.as_deref()) == (v, w))
-                && entries == slots;
-            ok.then_some(()).ok_or_else(|| {
-                KvError::Corrupt(format!(
-                    "stable {stable:?}, (v, w) {state:?}, {entries} entries vs \
-                     {slots} slots after reclaiming {leaks}"
-                ))
-            })
+            for stage in ["open", "recover"] {
+                if stage == "recover" {
+                    kv.recover(pm)?;
+                    kv.check_consistency(pm)?;
+                } else {
+                    kv.check_heap_links(pm)?;
+                }
+                let state = (kv.get(pm, b"v"), kv.get(pm, b"w"));
+                let stable = kv.get(pm, b"stable");
+                let (entries, slots) = kv.usage(pm);
+                let ok = stable.as_deref() == Some(b"rock")
+                    && states
+                        .iter()
+                        .any(|&(v, w)| (state.0.as_deref(), state.1.as_deref()) == (v, w))
+                    && entries == slots;
+                if !ok {
+                    return Err(KvError::Corrupt(format!(
+                        "after {stage}: stable {stable:?}, (v, w) {state:?}, \
+                         {entries} entries vs {slots} slots"
+                    )));
+                }
+            }
+            Ok(())
         };
         for (name, op, states) in ops {
             // The completed op reuses X for the blob it writes (delete
@@ -1367,7 +1425,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_anywhere_during_set_batch_recovers_leaks() {
+    fn crash_anywhere_during_set_batch_is_safe() {
         use nvm_pmem::{run_with_crash, CrashPlan};
         let (mut pm0, mut kv0, region, _cfg) = setup(128);
         kv0.set(&mut pm0, b"stable", b"rock").unwrap();
@@ -1402,49 +1460,44 @@ mod tests {
             pm.crash(CrashResolution::Random(at));
 
             let mut kv = PmemKv::open(&mut pm, region).unwrap();
-            let leaks = kv.recover(&mut pm);
-            kv.check_consistency(&pm)
-                .unwrap_or_else(|e| panic!("crash at +{at}: {e}"));
-            assert_eq!(
-                kv.get(&pm, b"stable").as_deref(),
-                Some(&b"rock"[..]),
-                "at +{at}"
-            );
-            // Every batch key is in a sane pre- or post-state; torn
-            // values never surface.
-            for (i, (k, _)) in fresh.iter().enumerate() {
-                let got = kv.get(&pm, k);
+            for stage in ["open", "recover"] {
+                if stage == "recover" {
+                    kv.recover(&mut pm).unwrap();
+                }
+                let ctx = format!("after {stage} at +{at}");
+                // Occupancy is exactly the index: committed blobs awaiting
+                // their index entry, new update blobs never swapped in and
+                // old update blobs never freed are all free again.
+                assert_exact(&kv, &pm, stage, &ctx);
+                assert_eq!(kv.get(&pm, b"stable").as_deref(), Some(&b"rock"[..]), "{ctx}");
+                // Every batch key is in a sane pre- or post-state; torn
+                // values never surface.
+                for (i, (k, _)) in fresh.iter().enumerate() {
+                    let got = kv.get(&pm, k);
+                    assert!(
+                        got.is_none() || got.as_deref() == Some(&[0x40 + i as u8; 24][..]),
+                        "bf-{i} {ctx}: {got:?}"
+                    );
+                }
+                for (k, old, new) in [
+                    (&b"upd-a"[..], &b"old-a"[..], &b"new-a"[..]),
+                    (&b"upd-b"[..], &b"old-b"[..], &b"new-b"[..]),
+                ] {
+                    let got = kv.get(&pm, k);
+                    assert!(
+                        got.as_deref() == Some(old) || got.as_deref() == Some(new),
+                        "update {ctx}: {got:?}"
+                    );
+                }
+                // In-batch last-write-wins resolves in DRAM before the
+                // index commit, so the first duplicate's value is never
+                // visible.
+                let got = kv.get(&pm, b"dupk");
                 assert!(
-                    got.is_none() || got.as_deref() == Some(&[0x40 + i as u8; 24][..]),
-                    "bf-{i} at +{at}: {got:?}"
+                    got.is_none() || got.as_deref() == Some(b"second"),
+                    "dupk {ctx}: {got:?}"
                 );
             }
-            for (k, old, new) in [
-                (&b"upd-a"[..], &b"old-a"[..], &b"new-a"[..]),
-                (&b"upd-b"[..], &b"old-b"[..], &b"new-b"[..]),
-            ] {
-                let got = kv.get(&pm, k);
-                assert!(
-                    got.as_deref() == Some(old) || got.as_deref() == Some(new),
-                    "update at +{at}: {got:?}"
-                );
-            }
-            // In-batch last-write-wins resolves in DRAM before the index
-            // commit, so the first duplicate's value is never visible.
-            let got = kv.get(&pm, b"dupk");
-            assert!(
-                got.is_none() || got.as_deref() == Some(b"second"),
-                "dupk at +{at}: {got:?}"
-            );
-            // The recovery sweep reclaimed every blob the index can't
-            // reach: committed blobs awaiting their index entry, new
-            // update blobs never swapped in, old update blobs never
-            // freed.
-            let (entries, slots) = kv.usage(&pm);
-            assert_eq!(
-                entries, slots,
-                "at +{at}: leak survived recovery (reclaimed {leaks})"
-            );
 
             // Re-running the batch converges on the post state.
             kv.set_batch(&mut pm, &items).unwrap();
@@ -1453,9 +1506,7 @@ mod tests {
             }
             assert_eq!(kv.get(&pm, b"upd-a").as_deref(), Some(&b"new-a"[..]));
             assert_eq!(kv.get(&pm, b"dupk").as_deref(), Some(&b"second"[..]));
-            kv.check_consistency(&pm).unwrap();
-            let (entries, slots) = kv.usage(&pm);
-            assert_eq!(entries, slots, "at +{at}: leak after replay");
+            assert_exact(&kv, &pm, "recover", &format!("after replay at +{at}"));
 
             if done {
                 break;
@@ -1482,24 +1533,24 @@ mod tests {
                 assert!(kv0.delete(&mut pm0, format!("gk-{i}").as_bytes()));
             }
         }
-        // Fabricate leaked blobs — both well-formed KV records whose keys
-        // the index never saw, and raw garbage that doesn't even decode —
-        // exactly what crashed writers leave behind.
-        for i in 0..4u32 {
-            kv0.heap
-                .alloc(&mut pm0, &encode_blob(format!("ghost-{i}").as_bytes(), &[0xEE; 12]))
-                .unwrap();
-        }
-        kv0.heap.alloc(&mut pm0, b"not a kv record").unwrap();
-        let (entries0, slots0) = kv0.usage(&pm0);
-        assert_eq!(entries0, survivors.len() as u64);
-        assert_eq!(slots0, entries0 + 5, "fixture must start leaky");
         drop(kv0);
 
         let mut at = 0u64;
         loop {
             let mut pm = pm0.clone();
             let mut kv = PmemKv::open(&mut pm, region).unwrap();
+            // Fabricate orphans — well-formed KV records whose keys the
+            // index never saw, and raw garbage that doesn't even decode —
+            // so the pass frees blobs as well as compacting.
+            for i in 0..4u32 {
+                kv.heap
+                    .alloc(&mut pm, &encode_blob(format!("ghost-{i}").as_bytes(), &[0xEE; 12]))
+                    .unwrap();
+            }
+            kv.heap.alloc(&mut pm, b"not a kv record").unwrap();
+            let (entries0, slots0) = kv.usage(&pm);
+            assert_eq!(entries0, survivors.len() as u64);
+            assert_eq!(slots0, entries0 + 5, "fixture must hold orphans");
             let base = pm.events();
             pm.set_crash_plan(Some(CrashPlan {
                 at_event: base + at,
@@ -1510,30 +1561,76 @@ mod tests {
             .is_ok();
             pm.crash(CrashResolution::Random(at));
 
-            // A crash mid-compaction may leave the moved blob's old or
-            // new copy unreferenced; recovery resumes the persisted
-            // cursor, finishes the pass, and sweeps again.
+            // A crash mid-compaction leaves the index naming the old or
+            // the new copy of the moved blob; the other one, and every
+            // orphan, is free after the rebuild.
             let mut kv = PmemKv::open(&mut pm, region).unwrap();
-            kv.recover(&mut pm);
-            assert!(!kv.gc_pending(&pm), "pass still pending at +{at}");
-            kv.check_consistency(&pm)
-                .unwrap_or_else(|e| panic!("crash at +{at}: {e}"));
-            for &i in &survivors {
-                assert_eq!(
-                    kv.get(&pm, format!("gk-{i}").as_bytes()),
-                    Some(vec![i as u8; 20]),
-                    "gk-{i} lost at +{at}"
-                );
+            assert!(!kv.gc_pending(), "a reopened store has no pass in flight");
+            for stage in ["open", "recover"] {
+                if stage == "recover" {
+                    kv.recover(&mut pm).unwrap();
+                }
+                let ctx = format!("after {stage} at +{at}");
+                assert_exact(&kv, &pm, stage, &ctx);
+                for &i in &survivors {
+                    assert_eq!(
+                        kv.get(&pm, format!("gk-{i}").as_bytes()),
+                        Some(vec![i as u8; 20]),
+                        "gk-{i} lost {ctx}"
+                    );
+                }
+                assert_eq!(kv.len(&pm), survivors.len() as u64, "{ctx}");
             }
-            assert_eq!(kv.len(&pm), survivors.len() as u64, "at +{at}");
-            let (entries, slots) = kv.usage(&pm);
-            assert_eq!(entries, slots, "at +{at}: GC crash left a permanent leak");
 
             if done {
                 break;
             }
             at += 1;
             assert!(at < 5000, "gc pass never completed");
+        }
+    }
+
+    /// One `set` that updates a key costs its blob's lines plus the index
+    /// value word, under two fences: blob durable, pointer swap durable.
+    /// The free of the replaced blob writes nothing.
+    #[test]
+    fn set_update_budget_is_pinned() {
+        let (mut pm, mut kv, _, _) = setup(64);
+        kv.set(&mut pm, b"key", b"old").unwrap();
+        let value = [7u8; 100];
+        pm.reset_stats();
+        kv.set(&mut pm, b"key", &value).unwrap();
+        let st = pm.stats();
+        let ptr = kv.index.get(&pm, &fingerprint(b"key")).unwrap() as usize;
+        let len = LEN_PREFIX + encode_blob(b"key", &value).len();
+        let blob_lines = ((ptr + len).div_ceil(64) - ptr / 64) as u64;
+        assert_eq!((st.flushes, st.fences), (blob_lines + 1, 2));
+    }
+
+    /// Recovery rejects an index pointer the heap could never have handed
+    /// out — not a slot start, outside the heap, or named by two entries
+    /// — with a typed error instead of a panic.
+    #[test]
+    fn recover_rejects_bad_index_pointers() {
+        let (mut pm0, mut kv0, region, _) = setup(64);
+        kv0.set(&mut pm0, b"a", b"alpha").unwrap();
+        kv0.set(&mut pm0, b"b", b"beta").unwrap();
+        let a = kv0.index.get(&pm0, &fingerprint(b"a")).unwrap();
+        let b = kv0.index.get(&pm0, &fingerprint(b"b")).unwrap();
+        drop(kv0);
+        let b_word = value_word_of(&pm0, b);
+        for bad in [b + 8, pm0.len() as u64 + 64, a] {
+            let mut pm = pm0.clone();
+            let mut kv = PmemKv::open(&mut pm, region).unwrap();
+            pm.write_u64(b_word, bad);
+            assert!(
+                matches!(kv.recover(&mut pm), Err(KvError::Corrupt(_))),
+                "recover accepted index pointer {bad:#x}"
+            );
+            assert!(
+                matches!(PmemKv::open(&mut pm, region), Err(KvError::Corrupt(_))),
+                "open accepted index pointer {bad:#x}"
+            );
         }
     }
 

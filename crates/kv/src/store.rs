@@ -24,7 +24,7 @@
 //! [`Store::pump`], which elects one leader per shard to drain the whole
 //! staged queue as a single [`PmemKv::set_batch`]-style group commit.
 //! K concurrent writers' sets thus share one fence-coalesced heap commit
-//! (2 fences), one fence for every overwrite's pointer swap together,
+//! (1 fence), one fence for every overwrite's pointer swap together,
 //! and one index batch for the fresh keys (~K+2 fences) — the paper's
 //! batching win amortized *across callers*, not just within one caller's
 //! batch.
@@ -529,24 +529,25 @@ impl<P: Pmem> Store<P> {
 
     // ---- maintenance (writer lock per shard) ----
 
-    /// Post-crash recovery across all shards (index repair + leak
-    /// reclamation); returns total leaks reclaimed.
-    pub fn recover(&self) -> u64 {
-        self.core
-            .shards
-            .iter()
-            .map(|s| s.with_write(|i| i.kv.recover(&mut i.pm)))
-            .sum()
+    /// Post-crash recovery across all shards: index repair, then heap
+    /// occupancy rebuilt from the repaired index (see
+    /// [`PmemKv::recover`]). Fails on the first shard whose index names a
+    /// bad heap pointer.
+    pub fn recover(&self) -> Result<(), StoreError> {
+        for s in &self.core.shards {
+            s.with_write(|i| i.kv.recover(&mut i.pm))?;
+        }
+        Ok(())
     }
 
-    /// Runs the heap GC drainer to completion on every shard; returns
-    /// blobs reclaimed.
-    pub fn gc(&self) -> u64 {
-        self.core
-            .shards
-            .iter()
-            .map(|s| s.with_write(|i| i.kv.gc(&mut i.pm)))
-            .sum()
+    /// Runs the heap GC pass to completion on every shard; returns blobs
+    /// freed as unreferenced.
+    pub fn gc(&self) -> Result<u64, StoreError> {
+        let mut freed = 0;
+        for s in &self.core.shards {
+            freed += s.with_write(|i| i.kv.gc(&mut i.pm))?;
+        }
+        Ok(freed)
     }
 
     /// One bounded GC increment per shard; `Ok(true)` while any shard's
@@ -932,10 +933,11 @@ impl StoreBuilder {
 
     /// Reopens a store from its shard pools (one per shard, in the order
     /// they were created). Capacity/seed settings on the builder are
-    /// ignored — pools are self-describing. After an unclean shutdown use
-    /// [`StoreBuilder::recover`]: `open` alone may count heap slots leaked
-    /// by the crash (e.g. a free whose unflushed clear was lost) as
-    /// allocated until a GC pass runs.
+    /// ignored — pools are self-describing. Heap occupancy is rebuilt
+    /// from each shard's index, so it is exact even after a crash; use
+    /// [`StoreBuilder::recover`] after an unclean shutdown to repair the
+    /// index as well. Fails with [`KvError::Corrupt`] (as
+    /// [`StoreError::Kv`]) if an index names a bad heap pointer.
     pub fn open<P: Pmem>(&self, pools: Vec<P>) -> Result<Store<P>, StoreError> {
         if pools.is_empty() {
             return Err(StoreError::Layout("open needs at least one pool".into()));
@@ -953,7 +955,7 @@ impl StoreBuilder {
     /// post-crash path.
     pub fn recover<P: Pmem>(&self, pools: Vec<P>) -> Result<Store<P>, StoreError> {
         let store = self.open(pools)?;
-        store.recover();
+        store.recover()?;
         Ok(store)
     }
 }
@@ -961,7 +963,7 @@ impl StoreBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvm_pmem::{CrashPlan, CrashResolution, SimConfig, SimPmem};
+    use nvm_pmem::{CrashPlan, CrashResolution, PmemRead, SimConfig, SimPmem};
 
     fn fresh(items: u64) -> Store<SimPmem> {
         StoreBuilder::new()
@@ -1164,6 +1166,24 @@ mod tests {
         assert_eq!(store.get(b"after").as_deref(), Some(&b"ok"[..]));
     }
 
+    /// The end state crash tests assert after `open` and again after
+    /// `recover`: every shard's heap occupancy is exactly its index's
+    /// entries, each naming its intact blob (before `recover` only the
+    /// heap half of `check_consistency` can hold — the index repairs its
+    /// own torn cells in `recover`).
+    fn assert_exact(store: &Store<SimPmem>, stage: &str, ctx: &str) {
+        for s in &store.core.shards {
+            let inner = s.inner.lock();
+            let check = match stage {
+                "open" => inner.kv.check_heap_links(&inner.pm),
+                _ => inner.kv.check_consistency(&inner.pm),
+            };
+            check.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        }
+        let (entries, slots) = store.usage();
+        assert_eq!(entries, slots, "{ctx}: heap occupancy differs from the index");
+    }
+
     /// Rebuilds the deterministic pre-crash state: 20 base keys stored
     /// and committed, store torn down to its bare pool.
     fn crash_base() -> SimPmem {
@@ -1207,24 +1227,32 @@ mod tests {
             } else {
                 pm.set_crash_plan(None);
             }
-            let store = StoreBuilder::new().recover(vec![pm]).unwrap();
-            store.check_consistency().unwrap();
-            // Pre-crash data survives (except the one staged delete,
-            // which may or may not have committed).
-            for i in 1..20u32 {
-                let k = format!("base{i}");
-                assert_eq!(store.get(k.as_bytes()).as_deref(), Some(&[1u8; 16][..]));
+            let store = StoreBuilder::new().open(vec![pm]).unwrap();
+            for stage in ["open", "recover"] {
+                if stage == "recover" {
+                    store.recover().unwrap();
+                }
+                let ctx = format!("after {stage} at +{at}");
+                assert_exact(&store, stage, &ctx);
+                // Pre-crash data survives (except the one staged delete,
+                // which may or may not have committed).
+                for i in 1..20u32 {
+                    let k = format!("base{i}");
+                    assert_eq!(
+                        store.get(k.as_bytes()).as_deref(),
+                        Some(&[1u8; 16][..]),
+                        "{ctx}"
+                    );
+                }
             }
-            let (entries, slots) = store.usage();
-            assert_eq!(entries, slots, "recovery must reclaim every leak");
         }
     }
 
     #[test]
     fn survives_crash_mid_batched_swap_pump_under_every_resolution() {
         // Base: the 20 committed keys, then base1..=base4 updated once,
-        // so their first blobs are freed with unflushed bitmap clears
-        // and the pump below can reuse those slots.
+        // so their first blobs are freed (in DRAM only) and the pump
+        // below can reuse those slots.
         let base_pm = {
             let store = StoreBuilder::new().open(vec![crash_base()]).unwrap();
             for i in 1..=4u32 {
@@ -1260,37 +1288,76 @@ mod tests {
                 .is_ok();
                 let mut pm = store.into_pools().ok().unwrap().into_iter().next().unwrap();
                 pm.crash(how);
-                let store = StoreBuilder::new().recover(vec![pm]).unwrap();
-                let ctx = format!("{how:?} at +{at}");
-                store
-                    .check_consistency()
-                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                for i in 5..20u32 {
-                    let k = format!("base{i}");
-                    assert_eq!(
-                        store.get(k.as_bytes()).as_deref(),
-                        Some(&[1u8; 16][..]),
-                        "{ctx}"
+                let store = StoreBuilder::new().open(vec![pm]).unwrap();
+                for stage in ["open", "recover"] {
+                    if stage == "recover" {
+                        store.recover().unwrap();
+                    }
+                    let ctx = format!("{how:?} after {stage} at +{at}");
+                    assert_exact(&store, stage, &ctx);
+                    for i in 5..20u32 {
+                        let k = format!("base{i}");
+                        assert_eq!(
+                            store.get(k.as_bytes()).as_deref(),
+                            Some(&[1u8; 16][..]),
+                            "{ctx}"
+                        );
+                    }
+                    for i in 1..=4u32 {
+                        let got = store.get(format!("base{i}").as_bytes());
+                        let ok = got.as_deref() == Some(&[3u8; 16][..])
+                            || (!done && got.as_deref() == Some(&[2u8; 16][..]));
+                        assert!(ok, "{ctx}: base{i} = {got:?}");
+                    }
+                    let got = store.get(b"base0");
+                    assert!(
+                        got.is_none() || (!done && got.as_deref() == Some(&[1u8; 16][..])),
+                        "{ctx}: base0 = {got:?}"
                     );
                 }
-                for i in 1..=4u32 {
-                    let got = store.get(format!("base{i}").as_bytes());
-                    let ok = got.as_deref() == Some(&[3u8; 16][..])
-                        || (!done && got.as_deref() == Some(&[2u8; 16][..]));
-                    assert!(ok, "{ctx}: base{i} = {got:?}");
-                }
-                let got = store.get(b"base0");
-                assert!(
-                    got.is_none() || (!done && got.as_deref() == Some(&[1u8; 16][..])),
-                    "{ctx}: base0 = {got:?}"
-                );
-                let (entries, slots) = store.usage();
-                assert_eq!(entries, slots, "{ctx}: recovery must reclaim every leak");
                 if done {
                     break;
                 }
                 at += 1;
                 assert!(at < 400, "pump never completed");
+            }
+        }
+    }
+
+    /// A store whose index names a heap pointer the heap could never
+    /// have handed out — not a slot start, outside the heap, or one two
+    /// entries share — fails `open` and `recover` with a typed error and
+    /// no panic.
+    #[test]
+    fn open_and_recover_reject_bad_index_pointers() {
+        let store = fresh(64);
+        store.set(b"a", b"alpha").unwrap();
+        store.set(b"b", b"beta").unwrap();
+        let (a, b) = {
+            let inner = store.core.shards[0].inner.lock();
+            let mut ptrs = Vec::new();
+            inner.kv.index.for_each_entry(&inner.pm, |_, p| ptrs.push(p));
+            (ptrs[0], ptrs[1])
+        };
+        let pm0 = store.into_pools().ok().unwrap().remove(0);
+        // The index value word holding `b`: the only pool word equal to
+        // that heap pointer.
+        let words: Vec<usize> = (0..pm0.len() / 8)
+            .map(|w| w * 8)
+            .filter(|&off| pm0.read_u64(off) == b)
+            .collect();
+        assert_eq!(words.len(), 1);
+        for bad in [b + 8, pm0.len() as u64 + 64, a] {
+            let mut pm = pm0.clone();
+            pm.write_u64(words[0], bad);
+            for (how, got) in [
+                ("open", StoreBuilder::new().open(vec![pm.clone()]).err()),
+                ("recover", StoreBuilder::new().recover(vec![pm]).err()),
+            ] {
+                assert!(
+                    matches!(got, Some(StoreError::Kv(KvError::Corrupt(_)))),
+                    "{how} accepted index pointer {bad:#x}: {got:?}"
+                );
             }
         }
     }

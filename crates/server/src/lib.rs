@@ -11,7 +11,7 @@
 //! What makes it more than a toy shim is the write path: concurrent
 //! `set`s from *different connections* are staged into the store's
 //! shared group-commit batch and persisted under one fence sequence
-//! (2 fences for the value heap, 1 for every overwrite's pointer swap
+//! (1 fence for the value heap, 1 for every overwrite's pointer swap
 //! together, and K+2 for the index's K fresh inserts, amortized over
 //! all writes in the batch), while `get`s ride the lock-free seqlock
 //! read path and never wait on writers. See [`server`] for the sweep
