@@ -414,14 +414,6 @@ impl PmemHeap {
         &self.writes
     }
 
-    /// The slab store's slot regions, per slab (for per-range media wear
-    /// reporting against a simulator).
-    pub fn slab_regions(&self) -> Vec<Region> {
-        (0..self.store.n_slabs())
-            .map(|s| self.store.slab(s).slots_region())
-            .collect()
-    }
-
     /// The heap's pool region.
     pub fn region(&self) -> Region {
         self.region

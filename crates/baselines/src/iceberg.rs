@@ -77,7 +77,6 @@ pub struct Iceberg<P: Pmem, K: HashKey, V: Pod> {
     journal: Journal,
     /// Probe/occupancy/displacement recording (same schema as the other
     /// schemes; displacement is identically zero — stability).
-    #[cfg(feature = "instrument")]
     instr: SchemeInstrumentation,
     region: Region,
     _marker: PhantomData<fn(&mut P)>,
@@ -145,7 +144,6 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
             header,
             store: CellStore::attach(b, c, total),
             journal,
-            #[cfg(feature = "instrument")]
             instr: SchemeInstrumentation::new(3 * ICEBERG_LANES as usize),
             region,
             _marker: PhantomData,
@@ -268,31 +266,6 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
         }
     }
 
-    /// Records a completed lookup probe walk (no-op without the
-    /// `instrument` feature).
-    #[inline]
-    fn note_probe(&self, cells: u64) {
-        #[cfg(feature = "instrument")]
-        self.instr.record_probe(cells);
-        #[cfg(not(feature = "instrument"))]
-        let _ = cells;
-    }
-
-    /// Records one insert: cells examined, occupied cells stepped over,
-    /// and the displacement count — identically zero, which *is* the
-    /// stability claim in the histograms.
-    #[inline]
-    fn note_insert(&self, probes: u64, occupied: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.instr.record_probe(probes);
-            self.instr.record_occupancy(occupied);
-            self.instr.record_displacement(0);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (probes, occupied);
-    }
-
     /// Scans one bucket for `key`, counting each cell whose key bytes are
     /// actually compared into `probes`. With [`MetaMode::On`] the bucket's
     /// tag word is SWAR-filtered first, so misses usually cost zero key
@@ -333,17 +306,17 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
         let (a, b) = self.plan.l2_pair(h2, h3);
         for bucket in [self.plan.l1_bucket(h1), a, b] {
             if let Some(idx) = self.scan_bucket(pm, bucket, tag, key, &mut probes) {
-                self.note_probe(probes);
+                self.instr.record_probe(probes);
                 return Some(idx);
             }
         }
         for bucket in self.plan.backyard_sequence(h1) {
             if let Some(idx) = self.scan_bucket(pm, bucket, tag, key, &mut probes) {
-                self.note_probe(probes);
+                self.instr.record_probe(probes);
                 return Some(idx);
             }
         }
-        self.note_probe(probes.max(1));
+        self.instr.record_probe(probes.max(1));
         None
     }
 
@@ -435,14 +408,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for Iceberg<P, K, V> {
     }
 
     fn instrumentation(&self) -> Option<&SchemeInstrumentation> {
-        #[cfg(feature = "instrument")]
-        {
-            Some(&self.instr)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            None
-        }
+        Some(&self.instr)
     }
 
     fn insert(&mut self, pm: &mut P, key: K, value: V) -> Result<(), InsertError> {
@@ -468,7 +434,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for Iceberg<P, K, V> {
                 failure = Some(InsertError::TableFull);
                 break;
             };
-            self.note_insert(probes, occupied);
+            self.instr.record_insert(probes, occupied, 0);
             if sess.is_empty() {
                 self.journal.begin(pm);
             }

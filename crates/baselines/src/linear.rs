@@ -44,7 +44,7 @@ pub struct LinearProbing<P: Pmem, K: HashKey, V: Pod> {
     migrating: bool,
     /// Probe/occupancy/displacement recording (same schema as group
     /// hashing). Pure DRAM arithmetic; never touches the pool.
-    #[cfg(feature = "instrument")]
+    /// Linear probing never relocates, so displacement is always 0.
     instr: SchemeInstrumentation,
     region: Region,
     _marker: PhantomData<fn(&mut P)>,
@@ -83,7 +83,6 @@ impl<P: Pmem, K: HashKey, V: Pod> LinearProbing<P, K, V> {
             store: CellStore::attach(b, c, n),
             journal,
             migrating: false,
-            #[cfg(feature = "instrument")]
             instr: SchemeInstrumentation::new(16),
             region,
             _marker: PhantomData,
@@ -172,31 +171,6 @@ impl<P: Pmem, K: HashKey, V: Pod> LinearProbing<P, K, V> {
         self.plan.home(self.hash.h1(key))
     }
 
-    /// Records a completed lookup probe walk (no-op without the
-    /// `instrument` feature).
-    #[inline]
-    fn note_probe(&self, cells: u64) {
-        #[cfg(feature = "instrument")]
-        self.instr.record_probe(cells);
-        #[cfg(not(feature = "instrument"))]
-        let _ = cells;
-    }
-
-    /// Records one insert attempt: cells examined and occupied cells
-    /// stepped over (linear probing never relocates, so displacement is
-    /// always 0).
-    #[inline]
-    fn note_insert(&self, probes: u64, occupied: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.instr.record_probe(probes);
-            self.instr.record_occupancy(occupied);
-            self.instr.record_displacement(0);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (probes, occupied);
-    }
-
     /// Group-commits a staged insert chunk; the count rides the session
     /// commit (see [`BatchSession::commit`]).
     fn commit_insert_chunk(&mut self, pm: &mut P, sess: &mut BatchSession<K, V>) -> usize {
@@ -218,15 +192,15 @@ impl<P: Pmem, K: HashKey, V: Pod> LinearProbing<P, K, V> {
                 if self.migrating {
                     continue;
                 }
-                self.note_probe(step as u64 + 1);
+                self.instr.record_probe(step as u64 + 1);
                 return None; // probe invariant: cluster ended
             }
             if self.store.read_key(pm, i) == *key {
-                self.note_probe(step as u64 + 1);
+                self.instr.record_probe(step as u64 + 1);
                 return Some(i);
             }
         }
-        self.note_probe(self.plan.n());
+        self.instr.record_probe(self.plan.n());
         None
     }
 }
@@ -240,14 +214,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for LinearProbing<P, K, V>
     }
 
     fn instrumentation(&self) -> Option<&SchemeInstrumentation> {
-        #[cfg(feature = "instrument")]
-        {
-            Some(&self.instr)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            None
-        }
+        Some(&self.instr)
     }
 
     fn insert(&mut self, pm: &mut P, key: K, value: V) -> Result<(), InsertError> {
@@ -279,11 +246,11 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for LinearProbing<P, K, V>
                 }
             }
             let Some((step, i)) = found else {
-                self.note_insert(self.plan.n(), self.plan.n());
+                self.instr.record_insert(self.plan.n(), self.plan.n(), 0);
                 failure = Some(InsertError::TableFull);
                 break;
             };
-            self.note_insert(step + 1, step);
+            self.instr.record_insert(step + 1, step, 0);
             if sess.is_empty() {
                 self.journal.begin(pm);
             }

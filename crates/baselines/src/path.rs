@@ -51,7 +51,8 @@ pub struct PathHash<P: Pmem, K: HashKey, V: Pod> {
     journal: Journal,
     /// Probe/occupancy/displacement recording (same schema as group
     /// hashing). Pure DRAM arithmetic; never touches the pool.
-    #[cfg(feature = "instrument")]
+    /// Position sharing means path hashing never relocates, so
+    /// displacement is always 0.
     instr: SchemeInstrumentation,
     region: Region,
     _marker: PhantomData<fn(&mut P)>,
@@ -115,7 +116,6 @@ impl<P: Pmem, K: HashKey, V: Pod> PathHash<P, K, V> {
             header,
             store: CellStore::attach(b, c, total),
             journal,
-            #[cfg(feature = "instrument")]
             instr: SchemeInstrumentation::new(16),
             region,
             _marker: PhantomData,
@@ -221,31 +221,6 @@ impl<P: Pmem, K: HashKey, V: Pod> PathHash<P, K, V> {
         self.plan.path_cells(l1, l2).find(|&idx| f(pm, idx))
     }
 
-    /// Records a completed lookup probe walk (no-op without the
-    /// `instrument` feature).
-    #[inline]
-    fn note_probe(&self, cells: u64) {
-        #[cfg(feature = "instrument")]
-        self.instr.record_probe(cells);
-        #[cfg(not(feature = "instrument"))]
-        let _ = cells;
-    }
-
-    /// Records one insert attempt: path cells examined and occupied path
-    /// cells stepped over (position sharing means path hashing never
-    /// relocates, so displacement is always 0).
-    #[inline]
-    fn note_insert(&self, probes: u64, occupied: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.instr.record_probe(probes);
-            self.instr.record_occupancy(occupied);
-            self.instr.record_displacement(0);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (probes, occupied);
-    }
-
     /// Locates `key`.
     fn find(&self, pm: &P, key: &K) -> Option<u64> {
         let store = self.store;
@@ -254,7 +229,7 @@ impl<P: Pmem, K: HashKey, V: Pod> PathHash<P, K, V> {
             probes += 1;
             store.is_occupied(pm, idx) && store.read_key(pm, idx) == *key
         });
-        self.note_probe(probes);
+        self.instr.record_probe(probes);
         found
     }
 
@@ -299,14 +274,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for PathHash<P, K, V> {
     }
 
     fn instrumentation(&self) -> Option<&SchemeInstrumentation> {
-        #[cfg(feature = "instrument")]
-        {
-            Some(&self.instr)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            None
-        }
+        Some(&self.instr)
     }
 
     fn insert(&mut self, pm: &mut P, key: K, value: V) -> Result<(), InsertError> {
@@ -342,7 +310,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for PathHash<P, K, V> {
                     free
                 })
             };
-            self.note_insert(probes, occupied);
+            self.instr.record_insert(probes, occupied, 0);
             let Some(idx) = target else {
                 failure = Some(InsertError::TableFull);
                 break;

@@ -52,7 +52,8 @@ pub struct Pfht<P: Pmem, K: HashKey, V: Pod> {
     journal: Journal,
     /// Probe/occupancy/displacement recording (same schema as group
     /// hashing). Pure DRAM arithmetic; never touches the pool.
-    #[cfg(feature = "instrument")]
+    /// Displacement is 0 or 1 per insert (PFHT's "at most one
+    /// displacement" rule).
     instr: SchemeInstrumentation,
     region: Region,
     _marker: PhantomData<fn(&mut P)>,
@@ -124,7 +125,6 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
             header,
             store: CellStore::attach(b, c, total),
             journal,
-            #[cfg(feature = "instrument")]
             instr: SchemeInstrumentation::new(2 * BUCKET_CELLS as usize),
             region,
             _marker: PhantomData,
@@ -219,31 +219,6 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
         self.plan.buckets(self.hash.h1(key), self.hash.h2(key))
     }
 
-    /// Records a completed lookup probe walk (no-op without the
-    /// `instrument` feature).
-    #[inline]
-    fn note_probe(&self, cells: u64) {
-        #[cfg(feature = "instrument")]
-        self.instr.record_probe(cells);
-        #[cfg(not(feature = "instrument"))]
-        let _ = cells;
-    }
-
-    /// Records one insert attempt: cells examined, occupied cells stepped
-    /// over, and how many residents were displaced (0 or 1 — PFHT's "at
-    /// most one displacement" rule).
-    #[inline]
-    fn note_insert(&self, probes: u64, occupied: u64, displaced: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.instr.record_probe(probes);
-            self.instr.record_occupancy(occupied);
-            self.instr.record_displacement(displaced);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (probes, occupied, displaced);
-    }
-
     /// Finds a free slot in bucket `b`.
     fn free_slot_in(&self, pm: &P, b: u64) -> Option<u64> {
         self.store
@@ -295,7 +270,8 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
                 self.journal.begin(pm);
                 self.place(pm, idx, key, value);
                 self.journal.commit(pm);
-                self.note_insert(probes + off + 1, occupied + off, 0);
+                self.instr
+                    .record_insert(probes + off + 1, occupied + off, 0);
                 return Ok(());
             }
             probes += BUCKET_CELLS;
@@ -332,7 +308,7 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
                     // Place the new item in the freed slot.
                     self.place(pm, idx, key, value);
                     self.journal.commit(pm);
-                    self.note_insert(probes, occupied, 1);
+                    self.instr.record_insert(probes, occupied, 1);
                     return Ok(());
                 }
                 probes += BUCKET_CELLS;
@@ -351,11 +327,13 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
             self.journal.begin(pm);
             self.place(pm, idx, key, value);
             self.journal.commit(pm);
-            self.note_insert(probes + off + 1, occupied + off, 0);
+            self.instr
+                .record_insert(probes + off + 1, occupied + off, 0);
             return Ok(());
         }
         let stash_cells = self.plan.stash_cells();
-        self.note_insert(probes + stash_cells, occupied + stash_cells, 0);
+        self.instr
+            .record_insert(probes + stash_cells, occupied + stash_cells, 0);
         Err(InsertError::TableFull)
     }
 
@@ -377,7 +355,7 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
                 let idx = self.plan.cell(b, s);
                 probes += 1;
                 if self.store.is_occupied(pm, idx) && self.store.read_key(pm, idx) == *key {
-                    self.note_probe(probes);
+                    self.instr.record_probe(probes);
                     return Some(idx);
                 }
             }
@@ -388,11 +366,11 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
             let idx = base + i;
             probes += 1;
             if self.store.is_occupied(pm, idx) && self.store.read_key(pm, idx) == *key {
-                self.note_probe(probes);
+                self.instr.record_probe(probes);
                 return Some(idx);
             }
         }
-        self.note_probe(probes);
+        self.instr.record_probe(probes);
         None
     }
 
@@ -415,14 +393,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for Pfht<P, K, V> {
     }
 
     fn instrumentation(&self) -> Option<&SchemeInstrumentation> {
-        #[cfg(feature = "instrument")]
-        {
-            Some(&self.instr)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            None
-        }
+        Some(&self.instr)
     }
 
     fn insert(&mut self, pm: &mut P, key: K, value: V) -> Result<(), InsertError> {
@@ -458,7 +429,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for Pfht<P, K, V> {
                 skipped += BUCKET_CELLS;
             }
             if let Some((idx, off)) = slot {
-                self.note_insert(off + 1, off, 0);
+                self.instr.record_insert(off + 1, off, 0);
                 if sess.is_empty() {
                     self.journal.begin(pm);
                 }

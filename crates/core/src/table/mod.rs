@@ -33,6 +33,21 @@ use nvm_table::{
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Fingerprint-filter outcomes and key reads of one lookup, counted in
+/// locals so an operation adds to the shared counters once, not once per
+/// examined cell.
+#[derive(Default)]
+struct FpTally {
+    /// Occupied cells skipped on a tag mismatch.
+    skips: u64,
+    /// Tag matches whose key compared unequal.
+    false_positives: u64,
+    /// Tag matches confirmed by the key bytes.
+    hits: u64,
+    /// Key loads issued from the pool.
+    key_reads: u64,
+}
+
 /// Magic word identifying a group-hash header ("GRPHASH1").
 const MAGIC: u64 = 0x4752_5048_4153_4831;
 
@@ -92,8 +107,11 @@ pub struct GroupHash<P: Pmem, K: HashKey, V: Pod> {
     fp: Option<[MetaWords; 2]>,
     /// Probe/occupancy/displacement recording. Derived purely from
     /// arithmetic the operations already do — recording never touches the
-    /// pool, so instrumented runs report identical `PmemStats`.
-    #[cfg(feature = "instrument")]
+    /// pool, so it leaves `PmemStats` unchanged. Displacement is always 0
+    /// (group hashing never relocates entries); `fingerprint.key_reads`
+    /// counts the key loads of a lookup-style probe in both fingerprint
+    /// modes; `batch` counts every batch entry point, single ops included
+    /// (they route through a one-element batch).
     instr: SchemeInstrumentation,
     region: Region,
     _marker: PhantomData<fn(&mut P)>,
@@ -142,73 +160,21 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             // candidates: their occupancy bits are always clear).
             fp: (config.fp == FpMode::On)
                 .then(|| [(); 2].map(|_| MetaWords::new(n.next_multiple_of(64)))),
-            #[cfg(feature = "instrument")]
             instr: SchemeInstrumentation::new(config.group_size as usize),
             region,
             _marker: PhantomData,
         }
     }
 
-    /// Records a completed lookup-style probe sequence (no-op without the
-    /// `instrument` feature).
+    /// Adds one operation's fingerprint-filter outcomes and key reads to
+    /// the shared counters.
     #[inline]
-    fn note_probe(&self, cells: u64) {
-        #[cfg(feature = "instrument")]
-        self.instr.record_probe(cells);
-        #[cfg(not(feature = "instrument"))]
-        let _ = cells;
-    }
-
-    /// Records one insert attempt: cells examined, occupied cells stepped
-    /// over before placement, and the scheme's displacement count (always
-    /// 0 — group hashing never relocates entries).
-    #[inline]
-    fn note_insert(&self, probes: u64, occupied: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.instr.record_probe(probes);
-            self.instr.record_occupancy(occupied);
-            self.instr.record_displacement(0);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (probes, occupied);
-    }
-
-    /// Records one completed batch entry point: ops committed and the
-    /// pmem fences/flushes its body spent (no-op without `instrument`).
-    /// Single ops route through a one-element batch and count here too.
-    #[inline]
-    fn note_batch(&self, ops: u64, fences: u64, flushes: u64) {
-        #[cfg(feature = "instrument")]
-        self.instr.batch.record(ops, fences, flushes);
-        #[cfg(not(feature = "instrument"))]
-        let _ = (ops, fences, flushes);
-    }
-
-    /// Records key loads issued from the pool by a lookup-style probe
-    /// (recorded in both fingerprint modes, so filtered and unfiltered
-    /// runs report the probe path's NVM traffic in the same counter).
-    #[inline]
-    fn note_key_reads(&self, n: u64) {
-        #[cfg(feature = "instrument")]
-        self.instr.fingerprint.key_reads.add(n);
-        #[cfg(not(feature = "instrument"))]
-        let _ = n;
-    }
-
-    /// Records fingerprint-filter outcomes: occupied cells skipped on a
-    /// tag mismatch, tag matches whose key compared unequal, and tag
-    /// matches confirmed by the key bytes.
-    #[inline]
-    fn note_fp(&self, skips: u64, false_positives: u64, hits: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.instr.fingerprint.skips.add(skips);
-            self.instr.fingerprint.false_positives.add(false_positives);
-            self.instr.fingerprint.hits.add(hits);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (skips, false_positives, hits);
+    fn note_fp(&self, t: &FpTally) {
+        let f = &self.instr.fingerprint;
+        f.skips.add(t.skips);
+        f.false_positives.add(t.false_positives);
+        f.hits.add(t.hits);
+        f.key_reads.add(t.key_reads);
     }
 
     /// Creates and initializes a fresh table in `region`.
@@ -471,13 +437,6 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for GroupHash<P, K, V> {
     }
 
     fn instrumentation(&self) -> Option<&SchemeInstrumentation> {
-        #[cfg(feature = "instrument")]
-        {
-            Some(&self.instr)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            None
-        }
+        Some(&self.instr)
     }
 }

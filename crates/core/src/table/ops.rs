@@ -6,7 +6,7 @@
 //! [`CellStore`](nvm_table::CellStore) accessors; every mutation funnels
 //! through the commit choreography in `store.rs`.
 
-use super::{GroupHash, Level};
+use super::{FpTally, GroupHash, Level};
 use crate::config::{CountMode, ProbeLayout};
 use nvm_hashfn::{HashKey, Pod};
 use nvm_pmem::{Pmem, PmemRead};
@@ -91,6 +91,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         g: u64,
         key: &K,
         tag: Option<u8>,
+        t: &mut FpTally,
     ) -> (Option<u64>, u64) {
         let mut examined = 0u64;
         match self.config.probe {
@@ -126,20 +127,21 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
                                     while c != 0 {
                                         let bit = c.trailing_zeros() as u64;
                                         let idx = word_base + sub + bit;
-                                        self.note_key_reads(1);
+                                        t.key_reads += 1;
                                         if self.store2.cells.read_key(pm, idx) == *key {
                                             let below = (1u64 << bit) - 1;
                                             examined +=
                                                 u64::from((occ & (below | 1 << bit)).count_ones());
                                             let skipped = (occ & !cand & below).count_ones();
-                                            self.note_fp(u64::from(skipped), 0, 1);
+                                            t.skips += u64::from(skipped);
+                                            t.hits += 1;
                                             return (Some(idx), examined);
                                         }
-                                        self.note_fp(0, 1, 0);
+                                        t.false_positives += 1;
                                         c &= c - 1;
                                     }
                                     examined += u64::from(occ.count_ones());
-                                    self.note_fp(u64::from((occ & !cand).count_ones()), 0, 0);
+                                    t.skips += u64::from((occ & !cand).count_ones());
                                 }
                                 sub += 8;
                             }
@@ -149,7 +151,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
                                 let bit = word.trailing_zeros() as u64;
                                 let idx = word_base + bit;
                                 examined += 1;
-                                self.note_key_reads(1);
+                                t.key_reads += 1;
                                 if self.store2.cells.read_key(pm, idx) == *key {
                                     return (Some(idx), examined);
                                 }
@@ -185,19 +187,19 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
                     if let Some(tag) = tag {
                         let fp = self.fp.as_ref().expect("tag implies cache");
                         if fp[Level::Two.idx()].tag(idx) != tag {
-                            self.note_fp(1, 0, 0);
+                            t.skips += 1;
                             continue;
                         }
                     }
-                    self.note_key_reads(1);
+                    t.key_reads += 1;
                     if self.store2.cells.read_key(pm, idx) == *key {
                         if tag.is_some() {
-                            self.note_fp(0, 0, 1);
+                            t.hits += 1;
                         }
                         return (Some(idx), examined);
                     }
                     if tag.is_some() {
-                        self.note_fp(0, 1, 0);
+                        t.false_positives += 1;
                     }
                 }
                 (None, examined)
@@ -225,45 +227,46 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     ) -> Result<(Level, u64), InsertError> {
         let (k1, k2) = self.candidate_slots(key);
         let mut probes = 1u64; // the k1 slot check
-        if self.store1.is_free_for(pm, sess, k1) {
-            self.note_insert(probes, 0);
-            return Ok((Level::One, k1));
-        }
-        if let Some(k2) = k2 {
-            probes += 1;
-            if self.store1.is_free_for(pm, sess, k2) {
-                self.note_insert(probes, 1);
-                return Ok((Level::One, k2));
+        // Occupied cells stepped over before the chosen one.
+        let mut occupied = 0u64;
+        let placed = 'plan: {
+            if self.store1.is_free_for(pm, sess, k1) {
+                break 'plan Ok((Level::One, k1));
             }
-        }
-        // Occupied cells stepped over so far: every checked level-1 slot.
-        let mut occupied = probes;
-        let g1 = self.group_of(k1);
-        let (free, examined) = self.find_free_in_group(pm, sess, g1);
-        probes += examined;
-        if let Some(idx) = free {
-            occupied += examined - 1;
-            self.note_insert(probes, occupied);
-            return Ok((Level::Two, idx));
-        }
-        occupied += examined;
-        if let Some(k2) = k2 {
-            let g2 = self.group_of(k2);
-            if g2 != g1 {
-                let (free, examined) = self.find_free_in_group(pm, sess, g2);
-                probes += examined;
-                if let Some(idx) = free {
-                    occupied += examined - 1;
-                    self.note_insert(probes, occupied);
-                    return Ok((Level::Two, idx));
+            occupied += 1;
+            if let Some(k2) = k2 {
+                probes += 1;
+                if self.store1.is_free_for(pm, sess, k2) {
+                    break 'plan Ok((Level::One, k2));
                 }
-                occupied += examined;
+                occupied += 1;
             }
-        }
-        // "If there are no empty cells in the matched group, the
-        // capacity of the hash table needs to be expanded."
-        self.note_insert(probes, occupied);
-        Err(InsertError::TableFull)
+            let g1 = self.group_of(k1);
+            let (free, examined) = self.find_free_in_group(pm, sess, g1);
+            probes += examined;
+            if let Some(idx) = free {
+                occupied += examined - 1;
+                break 'plan Ok((Level::Two, idx));
+            }
+            occupied += examined;
+            if let Some(k2) = k2 {
+                let g2 = self.group_of(k2);
+                if g2 != g1 {
+                    let (free, examined) = self.find_free_in_group(pm, sess, g2);
+                    probes += examined;
+                    if let Some(idx) = free {
+                        occupied += examined - 1;
+                        break 'plan Ok((Level::Two, idx));
+                    }
+                    occupied += examined;
+                }
+            }
+            // "If there are no empty cells in the matched group, the
+            // capacity of the hash table needs to be expanded."
+            Err(InsertError::TableFull)
+        };
+        self.instr.record_insert(probes, occupied, 0);
+        placed
     }
 
     /// Algorithm 1: a one-element batch, reproducing the paper's 3-flush /
@@ -318,7 +321,9 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             committed += n;
         }
         let spent = pm.stats().delta_since(&base);
-        self.note_batch(committed as u64, spent.fences, spent.flushes);
+        self.instr
+            .batch
+            .record(committed as u64, spent.fences, spent.flushes);
         match failure {
             Some(error) => Err(BatchError { committed, error }),
             None => Ok(()),
@@ -371,21 +376,22 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             }
         }
         // Phase 3: resolve level 1 for every key; survivors go on.
+        let mut t = FpTally::default();
         let mut sel = Selection::new();
         let mut probes: Vec<u64> = vec![0; keys.len()];
         for (i, key) in keys.iter().enumerate() {
             let (k1, k2) = slots[i];
             let tag = tagging.then(|| tags[i]);
             probes[i] = 1;
-            if self.level1_holds(pm, k1, key, tag) {
-                self.note_probe(probes[i]);
+            if self.level1_holds(pm, k1, key, tag, &mut t) {
+                self.instr.record_probe(probes[i]);
                 out[i] = Some(self.store1.read_value(pm, k1));
                 continue;
             }
             if let Some(k2) = k2 {
                 probes[i] += 1;
-                if self.level1_holds(pm, k2, key, tag) {
-                    self.note_probe(probes[i]);
+                if self.level1_holds(pm, k2, key, tag, &mut t) {
+                    self.instr.record_probe(probes[i]);
                     out[i] = Some(self.store1.read_value(pm, k2));
                     continue;
                 }
@@ -414,27 +420,28 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             let (k1, k2) = slots[i];
             let tag = tagging.then(|| tags[i]);
             let g1 = self.group_of(k1);
-            let (found, compared) = self.find_key_in_group(pm, g1, key, tag);
+            let (found, compared) = self.find_key_in_group(pm, g1, key, tag, &mut t);
             probes[i] += compared;
             if let Some(idx) = found {
-                self.note_probe(probes[i]);
+                self.instr.record_probe(probes[i]);
                 out[i] = Some(self.store2.read_value(pm, idx));
                 continue;
             }
             if let Some(k2) = k2 {
                 let g2 = self.group_of(k2);
                 if g2 != g1 {
-                    let (found, compared) = self.find_key_in_group(pm, g2, key, tag);
+                    let (found, compared) = self.find_key_in_group(pm, g2, key, tag, &mut t);
                     probes[i] += compared;
                     if let Some(idx) = found {
-                        self.note_probe(probes[i]);
+                        self.instr.record_probe(probes[i]);
                         out[i] = Some(self.store2.read_value(pm, idx));
                         continue;
                     }
                 }
             }
-            self.note_probe(probes[i]);
+            self.instr.record_probe(probes[i]);
         }
+        self.note_fp(&t);
         out
     }
 
@@ -522,24 +529,31 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// only when the slot is occupied and (under `FpMode::On`) its
     /// cached tag matches.
     #[inline]
-    fn level1_holds<R: PmemRead>(&self, pm: &R, k: u64, key: &K, tag: Option<u8>) -> bool {
+    fn level1_holds<R: PmemRead>(
+        &self,
+        pm: &R,
+        k: u64,
+        key: &K,
+        tag: Option<u8>,
+        t: &mut FpTally,
+    ) -> bool {
         if !self.store1.is_occupied(pm, k) {
             return false;
         }
         if let Some(tag) = tag {
             let fp = self.fp.as_ref().expect("tag implies cache");
             if fp[Level::One.idx()].tag(k) != tag {
-                self.note_fp(1, 0, 0);
+                t.skips += 1;
                 return false;
             }
         }
-        self.note_key_reads(1);
+        t.key_reads += 1;
         let hit = self.store1.cells.read_key(pm, k) == *key;
         if tag.is_some() {
             if hit {
-                self.note_fp(0, 0, 1);
+                t.hits += 1;
             } else {
-                self.note_fp(0, 1, 0);
+                t.false_positives += 1;
             }
         }
         hit
@@ -547,42 +561,43 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
 
     /// Finds the `(level, cell)` holding `key`, probing the candidate
     /// slot(s) then the matched group(s). Records one probe-length sample
-    /// (cells examined) per call when instrumentation is enabled.
+    /// (cells examined) and one fingerprint tally per call.
     pub(super) fn locate<R: PmemRead>(&self, pm: &R, key: &K) -> Option<(Level, u64)> {
         let (k1, k2) = self.candidate_slots(key);
         let tag = self.fp.as_ref().map(|_| self.fp_tag(key));
+        let mut t = FpTally::default();
         let mut probes = 1u64;
-        if self.level1_holds(pm, k1, key, tag) {
-            self.note_probe(probes);
-            return Some((Level::One, k1));
-        }
-        if let Some(k2) = k2 {
-            probes += 1;
-            if self.level1_holds(pm, k2, key, tag) {
-                self.note_probe(probes);
-                return Some((Level::One, k2));
+        let found = 'probe: {
+            if self.level1_holds(pm, k1, key, tag, &mut t) {
+                break 'probe Some((Level::One, k1));
             }
-        }
-        let g1 = self.group_of(k1);
-        let (found, compared) = self.find_key_in_group(pm, g1, key, tag);
-        probes += compared;
-        if let Some(idx) = found {
-            self.note_probe(probes);
-            return Some((Level::Two, idx));
-        }
-        if let Some(k2) = k2 {
-            let g2 = self.group_of(k2);
-            if g2 != g1 {
-                let (found, compared) = self.find_key_in_group(pm, g2, key, tag);
-                probes += compared;
-                if let Some(idx) = found {
-                    self.note_probe(probes);
-                    return Some((Level::Two, idx));
+            if let Some(k2) = k2 {
+                probes += 1;
+                if self.level1_holds(pm, k2, key, tag, &mut t) {
+                    break 'probe Some((Level::One, k2));
                 }
             }
-        }
-        self.note_probe(probes);
-        None
+            let g1 = self.group_of(k1);
+            let (found, compared) = self.find_key_in_group(pm, g1, key, tag, &mut t);
+            probes += compared;
+            if let Some(idx) = found {
+                break 'probe Some((Level::Two, idx));
+            }
+            if let Some(k2) = k2 {
+                let g2 = self.group_of(k2);
+                if g2 != g1 {
+                    let (found, compared) = self.find_key_in_group(pm, g2, key, tag, &mut t);
+                    probes += compared;
+                    if let Some(idx) = found {
+                        break 'probe Some((Level::Two, idx));
+                    }
+                }
+            }
+            None
+        };
+        self.instr.record_probe(probes);
+        self.note_fp(&t);
+        found
     }
 
     /// Updates the value of an existing `key` in place, returning whether
@@ -672,7 +687,9 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             removed += n;
         }
         let spent = pm.stats().delta_since(&base);
-        self.note_batch(removed as u64, spent.fences, spent.flushes);
+        self.instr
+            .batch
+            .record(removed as u64, spent.fences, spent.flushes);
         removed
     }
 

@@ -123,40 +123,43 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         let free_l2 = |idx: u64| !self.store2.is_occupied(pm, idx) && !claims.l2.is_claimed(idx);
         let (k1, k2) = probe::candidate_slots(&self.hash, &self.config, key);
         let mut probes = 1u64;
-        if free_l1(k1) {
-            self.note_insert(probes, 0);
-            return Ok((Level::One, k1));
-        }
-        if let Some(k2) = k2 {
-            probes += 1;
-            if free_l1(k2) {
-                self.note_insert(probes, 1);
-                return Ok((Level::One, k2));
+        // Occupied cells stepped over before the chosen one.
+        let mut occupied = 0u64;
+        let placed = 'plan: {
+            if free_l1(k1) {
+                break 'plan Ok((Level::One, k1));
             }
-        }
-        let mut occupied = probes;
-        let plan = self.plan();
-        let g1 = plan.group_of_slot(k1);
-        let mut groups = [Some(g1), None];
-        if let Some(k2) = k2 {
-            let g2 = plan.group_of_slot(k2);
-            if g2 != g1 {
-                groups[1] = Some(g2);
-            }
-        }
-        for g in groups.into_iter().flatten() {
-            for i in 0..self.config.group_size {
-                let idx = plan.cell(g, i);
+            occupied += 1;
+            if let Some(k2) = k2 {
                 probes += 1;
-                if free_l2(idx) {
-                    self.note_insert(probes, occupied + i);
-                    return Ok((Level::Two, idx));
+                if free_l1(k2) {
+                    break 'plan Ok((Level::One, k2));
+                }
+                occupied += 1;
+            }
+            let plan = self.plan();
+            let g1 = plan.group_of_slot(k1);
+            let mut groups = [Some(g1), None];
+            if let Some(k2) = k2 {
+                let g2 = plan.group_of_slot(k2);
+                if g2 != g1 {
+                    groups[1] = Some(g2);
                 }
             }
-            occupied += self.config.group_size;
-        }
-        self.note_insert(probes, occupied);
-        Err(InsertError::TableFull)
+            for g in groups.into_iter().flatten() {
+                for i in 0..self.config.group_size {
+                    let idx = plan.cell(g, i);
+                    probes += 1;
+                    if free_l2(idx) {
+                        break 'plan Ok((Level::Two, idx));
+                    }
+                    occupied += 1;
+                }
+            }
+            Err(InsertError::TableFull)
+        };
+        self.instr.record_insert(probes, occupied, 0);
+        placed
     }
 
     /// Lock-free Algorithm 1: plans against committed-plus-claimed cells,

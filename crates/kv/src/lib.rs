@@ -47,7 +47,7 @@ use nvm_alloc::{AllocError, FragStats, GcOwner, HeapConfig, HeapReadView, PmemHe
 use nvm_hashfn::murmur3_x64_128;
 use nvm_metrics::{HeapCounters, MetricsRegistry};
 use nvm_pmem::{align_up, Pmem, PmemRead, Region, RegionAllocator, CACHELINE};
-use nvm_table::{ConsistencyMode, HashScheme, InsertError, MigrationSource, TableError};
+use nvm_table::{HashScheme, InsertError, MigrationSource, TableError};
 use std::collections::{HashMap, HashSet};
 
 mod store;
@@ -113,13 +113,6 @@ pub struct KvConfig {
     pub heap_bytes: u64,
     /// Hash seed.
     pub seed: u64,
-    /// Index fingerprint-tag mode (create-time; reopened stores restore
-    /// it from the index's own persisted header).
-    pub fp: FpMode,
-    /// Index consistency mode (create-time; `UndoLog` wraps index
-    /// commits in the undo journal, `None` uses the paper's atomic
-    /// bitmap commit).
-    pub consistency: ConsistencyMode,
 }
 
 impl KvConfig {
@@ -134,8 +127,6 @@ impl KvConfig {
             // small blobs all round up to the 80-byte base class.
             heap_bytes: (items * (avg_value + 64) * 4).max(8192),
             seed: 0x4B56_5354,
-            fp: FpMode::default(),
-            consistency: ConsistencyMode::default(),
         }
     }
 
@@ -160,18 +151,6 @@ impl KvConfig {
     /// Overrides the hash seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the index fingerprint-tag mode.
-    pub fn with_fp_mode(mut self, fp: FpMode) -> Self {
-        self.fp = fp;
-        self
-    }
-
-    /// Overrides the index consistency mode.
-    pub fn with_consistency(mut self, consistency: ConsistencyMode) -> Self {
-        self.consistency = consistency;
         self
     }
 }
@@ -291,11 +270,8 @@ impl<P: Pmem> PmemKv<P> {
     fn index_config(config: &KvConfig) -> GroupHashConfig {
         GroupHashConfig::new(config.index_cells_per_level, config.group_size)
             .with_seed(config.seed)
-            .with_fp_mode(config.fp)
-            .with_commit(match config.consistency {
-                ConsistencyMode::None => CommitStrategy::AtomicBitmap,
-                ConsistencyMode::UndoLog => CommitStrategy::UndoLog,
-            })
+            .with_fp_mode(FpMode::Off)
+            .with_commit(CommitStrategy::AtomicBitmap)
     }
 
     /// Pool bytes needed for `config`.
@@ -344,11 +320,6 @@ impl<P: Pmem> PmemKv<P> {
             group_size: pm.read_u64(off + 16),
             heap_bytes: pm.read_u64(off + 24),
             seed: pm.read_u64(off + 32),
-            // Index modes live in the index's *own* persisted header
-            // (flag word), which `GroupHash::open` restores; the layout
-            // is mode-independent, so reopening never needs them.
-            fp: FpMode::default(),
-            consistency: ConsistencyMode::default(),
         })
     }
 
@@ -796,8 +767,8 @@ impl<P: Pmem> PmemKv<P> {
     /// The store's observability snapshot: cumulative pmem counters,
     /// cache-hierarchy counters when the backend models one, the value
     /// heap's alloc/free/GC counters and per-slab write histogram under
-    /// `heap`, and — when built with the `instrument` feature — the
-    /// index's probe/occupancy/displacement histograms under `index`.
+    /// `heap`, and the index's probe/occupancy/displacement histograms
+    /// under `index`.
     pub fn metrics(&self, pm: &P) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         reg.set_pmem("pmem", &pm.stats());
@@ -1183,12 +1154,8 @@ mod tests {
         let json = kv.metrics(&pm).to_string_pretty();
         assert!(json.contains("\"pmem\""), "{json}");
         assert!(json.contains("\"flushes\""), "{json}");
-        // With `instrument` (directly or via feature unification) the
-        // index section carries the probe histogram.
-        if cfg!(feature = "instrument") {
-            assert!(json.contains("\"index\""), "{json}");
-            assert!(json.contains("\"probe\""), "{json}");
-        }
+        assert!(json.contains("\"index\""), "{json}");
+        assert!(json.contains("\"probe\""), "{json}");
     }
 
     #[test]
@@ -1707,8 +1674,6 @@ mod tests {
             group_size: 16,
             heap_bytes: 64 * 1024,
             seed: 1,
-            fp: FpMode::default(),
-            consistency: ConsistencyMode::default(),
         };
         let size = PmemKv::<SimPmem>::required_size(&cfg);
         let mut pm = SimPmem::new(size, SimConfig::fast_test());

@@ -44,7 +44,7 @@
 use crate::{KvConfig, KvError, KvReadView, PmemKv};
 use nvm_alloc::{AllocError, FragStats};
 use nvm_hashfn::murmur3_x64_128;
-use nvm_metrics::{HeapCounters, Histogram, MetricsRegistry};
+use nvm_metrics::{HeapCounters, Histogram, MetricsRegistry, SchemeInstrumentation};
 use nvm_pmem::{Pmem, PmemStats, Region, SimConfig, SimPmem};
 use nvm_table::{SeqLock, TableError};
 use parking_lot::Mutex;
@@ -670,9 +670,8 @@ impl<P: Pmem> Store<P> {
         }
     }
 
-    /// Observability registry: pmem counters summed over shards, heap
-    /// counters merged, plus (with the `instrument` feature) shard 0's
-    /// index histograms.
+    /// Observability registry: pmem counters summed over shards, and the
+    /// heap counters and index histograms merged over shards.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         reg.set_pmem("pmem", &self.pmem_stats());
@@ -681,8 +680,18 @@ impl<P: Pmem> Store<P> {
         let mut gc_moves = 0;
         let mut leaked = 0;
         let mut slab_writes: Vec<u64> = Vec::new();
+        let mut index: Option<SchemeInstrumentation> = None;
         for s in &self.core.shards {
             let inner = s.inner.lock();
+            if let Some(i) =
+                nvm_table::HashScheme::<P, [u8; 16], u64>::instrumentation(&inner.kv.index)
+            {
+                index
+                    .get_or_insert_with(|| {
+                        SchemeInstrumentation::new(inner.kv.index.config().group_size as usize)
+                    })
+                    .merge(i);
+            }
             let hs = inner.kv.heap.stats();
             allocs += hs.allocs;
             frees += hs.frees;
@@ -700,13 +709,8 @@ impl<P: Pmem> Store<P> {
             "heap",
             &HeapCounters::from_heap(allocs, frees, gc_moves, leaked, &slab_writes),
         );
-        if let Some(s) = self.core.shards.first() {
-            let inner = s.inner.lock();
-            if let Some(i) =
-                nvm_table::HashScheme::<P, [u8; 16], u64>::instrumentation(&inner.kv.index)
-            {
-                reg.set_instrumentation("index", i);
-            }
+        if let Some(i) = &index {
+            reg.set_instrumentation("index", i);
         }
         reg
     }
@@ -1404,5 +1408,42 @@ mod tests {
         }
         assert!(hit_full, "tiny store never filled");
         store.check_consistency().unwrap();
+    }
+
+    /// The `index.probe.count` a store's `metrics()` reports.
+    fn index_probe_count(store: &Store<SimPmem>) -> u64 {
+        let json = store.metrics().to_json();
+        json.get("index")
+            .and_then(|i| i.get("probe"))
+            .and_then(|p| p.get("count"))
+            .and_then(|c| c.as_u64())
+            .expect("metrics() has an index.probe.count")
+    }
+
+    #[test]
+    fn metrics_index_section_is_always_present() {
+        let store = StoreBuilder::new()
+            .create_sim(SimConfig::fast_test())
+            .unwrap();
+        store.set(b"k", b"v").unwrap();
+        assert!(index_probe_count(&store) > 0, "empty index probe histogram");
+    }
+
+    #[test]
+    fn metrics_index_histograms_merge_every_shard() {
+        let count = |shards: usize| {
+            let store = StoreBuilder::new()
+                .capacity(1024, 32)
+                .shards(shards)
+                .create_sim(SimConfig::fast_test())
+                .unwrap();
+            for i in 0..200u32 {
+                store.set(format!("m{i}").as_bytes(), b"v").unwrap();
+            }
+            index_probe_count(&store)
+        };
+        let one = count(1);
+        assert!(one > 0);
+        assert_eq!(count(4), one, "4 shards must report every shard's probes");
     }
 }

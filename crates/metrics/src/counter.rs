@@ -3,15 +3,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Saturating add on an atomic (event counts pin at `u64::MAX` rather
-/// than wrapping). CAS loop; uncontended it costs one extra load.
+/// than wrapping). One `fetch_add`; the add that overflows stores
+/// `u64::MAX` back, so a concurrent reader may briefly see the wrapped
+/// value, never a final one. Adding 0 touches nothing.
 pub(crate) fn saturating_fetch_add(a: &AtomicU64, n: u64) {
-    let mut cur = a.load(Ordering::Relaxed);
-    loop {
-        let new = cur.saturating_add(n);
-        match a.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
+    if n == 0 {
+        return;
+    }
+    let prev = a.fetch_add(n, Ordering::Relaxed);
+    if prev.checked_add(n).is_none() {
+        a.store(u64::MAX, Ordering::Relaxed);
     }
 }
 

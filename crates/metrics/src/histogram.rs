@@ -20,28 +20,44 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// readers. The atomics are statistics, not synchronization — every
 /// access is `Relaxed`, and a snapshot read while writers are recording
 /// may be mid-sample (quantiles remain within the observed range).
+///
+/// A sample up to 128 (and the last bound) costs one atomic add on a
+/// per-value counter; bucket counts, sum, min and max fold those
+/// counters in when read. A larger sample adds to its bucket and the
+/// sum, and writes `min`/`max` only when it moves them.
 #[derive(Debug)]
 pub struct Histogram {
     /// Strictly increasing inclusive upper bounds.
     uppers: Vec<u64>,
-    /// One count per bound plus the trailing `+inf` overflow bucket.
+    /// One count per value `0..exact.len()`.
+    exact: Vec<AtomicU64>,
+    /// Samples above the exact range: one count per bound plus the
+    /// trailing `+inf` overflow bucket.
     counts: Vec<AtomicU64>,
-    count: AtomicU64,
+    /// Sum, min and max of the samples in `counts`.
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
+}
+
+/// Largest sample value counted exactly, one counter per value: every
+/// probe-length bucket, and the occupancy of groups up to 128 cells.
+const EXACT_MAX: u64 = 128;
+
+fn atomics(n: usize) -> Vec<AtomicU64> {
+    (0..n).map(|_| AtomicU64::new(0)).collect()
+}
+
+fn load_all(v: &[AtomicU64]) -> impl Iterator<Item = u64> + '_ {
+    v.iter().map(|c| c.load(Ordering::Relaxed))
 }
 
 impl Clone for Histogram {
     fn clone(&self) -> Histogram {
         Histogram {
             uppers: self.uppers.clone(),
-            counts: self
-                .counts
-                .iter()
-                .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                .collect(),
-            count: AtomicU64::new(self.count.load(Ordering::Relaxed)),
+            exact: load_all(&self.exact).map(AtomicU64::new).collect(),
+            counts: load_all(&self.counts).map(AtomicU64::new).collect(),
             sum: AtomicU64::new(self.sum.load(Ordering::Relaxed)),
             min: AtomicU64::new(self.min.load(Ordering::Relaxed)),
             max: AtomicU64::new(self.max.load(Ordering::Relaxed)),
@@ -61,10 +77,11 @@ impl Histogram {
             "bucket bounds must be strictly increasing: {uppers:?}"
         );
         let n = uppers.len() + 1; // + overflow
+        let exact = uppers[n - 2].min(EXACT_MAX) as usize + 1;
         Histogram {
             uppers,
-            counts: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
+            exact: atomics(exact),
+            counts: atomics(n),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -115,32 +132,71 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
+        match usize::try_from(v).ok().and_then(|i| self.exact.get(i)) {
+            Some(c) => {
+                c.fetch_add(1, Ordering::Relaxed);
+            }
+            None => self.record_above_exact(v),
+        }
+    }
+
+    /// The out-of-line path for samples past the per-value counters.
+    #[inline(never)]
+    fn record_above_exact(&self, v: u64) {
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
         let idx = self.uppers.partition_point(|&u| u < v);
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         saturating_fetch_add(&self.sum, v);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        load_all(&self.exact).chain(load_all(&self.counts)).sum()
     }
 
     /// Sum of all samples (saturating).
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        load_all(&self.exact)
+            .enumerate()
+            .fold(self.sum.load(Ordering::Relaxed), |s, (v, n)| {
+                s.saturating_add(n.saturating_mul(v as u64))
+            })
     }
 
     /// Smallest sample, if any were recorded.
     pub fn min(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.min.load(Ordering::Relaxed))
+        match load_all(&self.exact).position(|n| n > 0) {
+            Some(v) => Some(v as u64),
+            None => self.any_above_exact().then(|| self.min.load(Ordering::Relaxed)),
+        }
     }
 
     /// Largest sample, if any were recorded.
     pub fn max(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.max.load(Ordering::Relaxed))
+        if self.any_above_exact() {
+            return Some(self.max.load(Ordering::Relaxed));
+        }
+        let last = self.exact.iter().rposition(|c| c.load(Ordering::Relaxed) > 0);
+        last.map(|v| v as u64)
+    }
+
+    /// Whether any sample landed above the exact range.
+    fn any_above_exact(&self) -> bool {
+        load_all(&self.counts).any(|n| n > 0)
+    }
+
+    /// Per-bucket counts with the exact per-value counts folded in.
+    fn bucket_counts(&self) -> Vec<u64> {
+        let mut out: Vec<u64> = load_all(&self.counts).collect();
+        for (v, n) in load_all(&self.exact).enumerate() {
+            out[self.uppers.partition_point(|&u| u < v as u64)] += n;
+        }
+        out
     }
 
     /// Arithmetic mean, or 0.0 when empty.
@@ -160,22 +216,22 @@ impl Histogram {
     /// Count in bucket `i` (index `bounds().len()` is the overflow
     /// bucket).
     pub fn bucket_count(&self, i: usize) -> u64 {
-        self.counts[i].load(Ordering::Relaxed)
+        self.bucket_counts()[i]
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`), linearly interpolated inside
     /// the containing bucket and clamped to the observed range. Returns
     /// 0.0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
+        let (Some(min), Some(max)) = (self.min(), self.max()) else {
             return 0.0;
-        }
+        };
+        let counts = self.bucket_counts();
+        let total: u64 = counts.iter().sum();
         let q = q.clamp(0.0, 1.0);
         let rank = q * total as f64;
         let mut cum = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            let n = c.load(Ordering::Relaxed);
+        for (i, &n) in counts.iter().enumerate() {
             if n == 0 {
                 continue;
             }
@@ -187,17 +243,14 @@ impl Histogram {
                     self.uppers[i] as f64
                 } else {
                     // Overflow bucket tops out at the observed max.
-                    self.max.load(Ordering::Relaxed) as f64
+                    max as f64
                 };
                 let frac = ((rank - before as f64) / n as f64).clamp(0.0, 1.0);
                 let v = lo + frac * (hi - lo);
-                return v.clamp(
-                    self.min.load(Ordering::Relaxed) as f64,
-                    self.max.load(Ordering::Relaxed) as f64,
-                );
+                return v.clamp(min as f64, max as f64);
             }
         }
-        self.max.load(Ordering::Relaxed) as f64
+        max as f64
     }
 
     /// Median.
@@ -217,10 +270,9 @@ impl Histogram {
 
     /// Clears all samples, keeping the bucket layout.
     pub fn reset(&self) {
-        for c in &self.counts {
+        for c in self.exact.iter().chain(&self.counts) {
             c.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.min.store(u64::MAX, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
@@ -235,13 +287,12 @@ impl Histogram {
             self.uppers, other.uppers,
             "cannot merge histograms with different bucket layouts"
         );
-        for (a, b) in self.counts.iter().zip(&other.counts) {
+        let pairs = self.exact.iter().zip(&other.exact);
+        for (a, b) in pairs.chain(self.counts.iter().zip(&other.counts)) {
             a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
         }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
         saturating_fetch_add(&self.sum, other.sum.load(Ordering::Relaxed));
-        if other.count() > 0 {
+        if other.any_above_exact() {
             self.min
                 .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
             self.max
@@ -271,14 +322,15 @@ impl Histogram {
         j.insert("p50", self.p50());
         j.insert("p95", self.p95());
         j.insert("p99", self.p99());
-        let mut buckets = Vec::with_capacity(self.counts.len());
-        for (i, c) in self.counts.iter().enumerate() {
+        let counts = self.bucket_counts();
+        let mut buckets = Vec::with_capacity(counts.len());
+        for (i, &c) in counts.iter().enumerate() {
             let mut b = Json::obj();
             match self.uppers.get(i) {
                 Some(&le) => b.insert("le", le),
                 None => b.insert("le", "+inf"),
             };
-            b.insert("count", c.load(Ordering::Relaxed));
+            b.insert("count", c);
             buckets.push(b);
         }
         j.insert("buckets", buckets);
@@ -369,6 +421,31 @@ mod tests {
         assert_eq!(a.min(), Some(1));
         assert_eq!(a.max(), Some(4));
         assert_eq!(a.sum(), 8);
+    }
+
+    #[test]
+    fn exact_and_larger_samples_share_buckets_sum_and_range() {
+        // Bounds straddle EXACT_MAX: 100 and 128 are counted per value,
+        // 129 and 300 through their bucket; both meet in `(64, 256]`.
+        let a = Histogram::new(vec![64, 256]);
+        let b = Histogram::new(vec![64, 256]);
+        a.record(100);
+        a.record(EXACT_MAX);
+        b.record(EXACT_MAX + 1);
+        b.record(300);
+        a.merge(&b);
+        assert_eq!(a.bucket_count(0), 0);
+        assert_eq!(a.bucket_count(1), 3);
+        assert_eq!(a.bucket_count(2), 1);
+        assert_eq!(a.count(), 4);
+        assert_eq!(a.sum(), 100 + 128 + 129 + 300);
+        assert_eq!(a.min(), Some(100));
+        assert_eq!(a.max(), Some(300));
+        assert_eq!(a.quantile(1.0), 300.0);
+        let c = a.clone();
+        a.reset();
+        assert_eq!((a.count(), a.min(), a.max()), (0, None, None));
+        assert_eq!(c.count(), 4);
     }
 
     #[test]

@@ -255,16 +255,13 @@ impl SchemeInstrumentation {
         self.probe.record(cells);
     }
 
-    /// Records the destination occupancy seen by an insert.
+    /// Records one insert attempt: cells examined, occupied cells
+    /// stepped over before placement, and entries relocated to make room.
     #[inline]
-    pub fn record_occupancy(&self, entries: u64) {
-        self.occupancy.record(entries);
-    }
-
-    /// Records how many entries an insert displaced.
-    #[inline]
-    pub fn record_displacement(&self, moves: u64) {
-        self.displacement.record(moves);
+    pub fn record_insert(&self, probes: u64, occupied: u64, displaced: u64) {
+        self.probe.record(probes);
+        self.occupancy.record(occupied);
+        self.displacement.record(displaced);
     }
 
     /// Folds another instance in (shard aggregation).
@@ -307,15 +304,15 @@ mod tests {
     fn records_and_merges_across_shards() {
         let a = SchemeInstrumentation::new(8);
         let b = SchemeInstrumentation::new(8);
-        a.record_probe(2);
-        a.record_occupancy(3);
-        b.record_probe(5);
-        b.record_displacement(1);
+        a.record_insert(2, 3, 0);
+        b.record_insert(5, 1, 1);
         a.merge(&b);
         assert_eq!(a.probe.count(), 2);
-        assert_eq!(a.occupancy.count(), 1);
-        assert_eq!(a.displacement.count(), 1);
+        assert_eq!(a.occupancy.count(), 2);
+        assert_eq!(a.displacement.count(), 2);
         assert_eq!(a.probe.max(), Some(5));
+        assert_eq!(a.occupancy.min(), Some(1));
+        assert_eq!(a.displacement.sum(), 1);
     }
 
     #[test]
