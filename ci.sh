@@ -128,22 +128,21 @@ cargo test -q --test concurrent_stress
 
 echo "==> concurrency stress tests (release, elevated iterations)"
 # The writer stress tests scale with NVM_STRESS_ITERS; the release run
-# gives the CAS/latch/expansion machinery real iteration counts that
-# would be too slow under the debug profile.
+# gives the Store's staging, leader election and full-shard refusal real
+# iteration counts that would be too slow under the debug profile.
 NVM_STRESS_ITERS=20000 cargo test --release -q --test concurrent_stress -- \
-  single_shard_cas_contention_loses_no_writes expansion_mid_stream_keeps_every_write
+  single_shard_contention_loses_no_writes full_shard_reports_index_full_and_keeps_acked_writes
 
-echo "==> occupancy-commit lint (CAS protocol has one owner)"
-# The lock-free write protocol is only sound if every occupancy-bit
+echo "==> occupancy-commit lint (the bitmap commit has one owner)"
+# The paper's commit protocol is only sound if every occupancy-bit
 # mutation in the scheme's hot path goes through the cell store's
-# publish/retract (exclusive) or try_publish/try_retract (CAS) — those
-# are the sole callers of the bitmap mutators. Direct bitmap writes from
-# the core table/concurrent/resize layers would bypass the commit
-# choreography. (crates/core/src/bulk.rs is the documented exception:
-# bulk load commits whole precomputed words while holding the table
-# exclusively.)
+# publish/retract (single op) or its batch session — those are the sole
+# callers of the bitmap mutators. Direct bitmap writes from the core
+# table layers would bypass the commit choreography.
+# (crates/core/src/bulk.rs is the documented exception: bulk load commits
+# whole precomputed words while holding the table exclusively.)
 if grep -rnE 'set_and_persist|set_volatile|cas_bit_and_persist|atomic_write[^(]*word_off' \
-    crates/core/src/table crates/core/src/concurrent.rs \
+    crates/core/src/table \
     | strip_comments | grep .; then
   echo "occupancy lint: core scheme paths must commit occupancy via the cell store" >&2
   exit 1
@@ -171,25 +170,6 @@ if grep -n 'record_insert(' crates/baselines/src/iceberg.rs \
   exit 1
 fi
 
-echo "==> online-expansion shape lint"
-# Expansion has one driver, ShardedGroupHash's online drain, and it must
-# stay incremental: it drains through the bounded migration cursor
-# (migrate_step), never by re-inserting a full table scan
-# (for_each_entry = a stop-the-world rebuild), and exposes the bounded
-# drainer (expand_step).
-if grep -q "for_each_entry" crates/core/src/concurrent.rs; then
-  echo "expansion lint: concurrent.rs regressed to a stop-the-world rebuild" >&2
-  exit 1
-fi
-grep -q "migrate_step" crates/core/src/concurrent.rs || {
-  echo "expansion lint: concurrent.rs no longer uses the bounded migration drainer" >&2
-  exit 1
-}
-grep -q "expand_step" crates/core/src/concurrent.rs || {
-  echo "expansion lint: ShardedGroupHash lost its bounded expand_step drainer" >&2
-  exit 1
-}
-
 echo "==> one-seqlock lint (a single sequence-lock implementation)"
 # Every optimistic reader validates against nvm-table's SeqLock. A
 # second backoff loop or a hand-rolled bump of a sequence word elsewhere
@@ -197,6 +177,22 @@ echo "==> one-seqlock lint (a single sequence-lock implementation)"
 if grep -rnE 'fn backoff|\bseq(\.0)?\.fetch_add' crates --include='*.rs' \
     | grep -v '^crates/table/src/seqlock.rs:' | strip_comments | grep .; then
   echo "seqlock lint: sequence-lock logic must live only in crates/table/src/seqlock.rs" >&2
+  exit 1
+fi
+
+echo "==> one-shard-primitive lint (the Store is the only concurrent table)"
+# Writers of a pool are serialized by the borrow checker (`&mut P`) and,
+# across threads, by the Store's shard mutex; readers validate against
+# the shard's seqlock. A sequence lock constructed anywhere else would be
+# a second concurrent table, and a shared-writer pool handle would bring
+# back a runtime claim protocol in place of `&mut`.
+if grep -rnE 'SeqLock::(new|default)' crates --include='*.rs' \
+    | grep -vE '^crates/(table/src/seqlock|kv/src/store)\.rs:' | grep .; then
+  echo "shard lint: only the Store (crates/kv/src/store.rs) may build a SeqLock" >&2
+  exit 1
+fi
+if grep -rnE 'write_handle|PmemWrite' crates | grep .; then
+  echo "shard lint: pools have one writer; no shared write handles" >&2
   exit 1
 fi
 

@@ -11,11 +11,11 @@
 //!   `results/wear.csv` instruments for the index.
 //!   [`RotationPolicy::FirstFit`] is the no-rotation baseline the `heap`
 //!   experiment compares against.
-//! * **GC/compaction drainer** ([`PmemHeap::gc_step`]): a bounded sweep
-//!   modeled on the table's `migrate_step`. A cursor walks the flat slot
-//!   space; each allocated slot is checked against the *owner* (the
-//!   structure holding pointers into the heap, e.g. `PmemKv`'s index)
-//!   via [`GcOwner::is_live`]. Dead slots are freed; live slots in sparse
+//! * **GC/compaction drainer** ([`PmemHeap::gc_step`]): a bounded,
+//!   incremental sweep. A volatile cursor walks the flat slot space;
+//!   each allocated slot is checked against the *owner* (the structure
+//!   holding pointers into the heap, e.g. `PmemKv`'s index) via
+//!   [`GcOwner::is_live`]. Dead slots are freed; live slots in sparse
 //!   slabs are compacted by copy-then-[`GcOwner::repoint`]-then-free, so
 //!   at any crash point the owner's pointer names an intact blob.
 //!

@@ -16,9 +16,8 @@
 //! The defining property is **stability**: an entry never moves after its
 //! insert. There is no displacement, no cascading eviction, no
 //! backward-shift — so deletes are pure retracts (crash-safe bare, unlike
-//! the displacement baselines), migration eviction has no special cases,
-//! and the volatile tag words can never go stale in the way a moved entry
-//! would make them.
+//! the displacement baselines), and the volatile tag words can never go
+//! stale in the way a moved entry would make them.
 //!
 //! Crash consistency is inherited unchanged from the shared layers: every
 //! committed write goes through [`CellStore`]'s publish/retract (or their
@@ -38,13 +37,13 @@ use nvm_table::meta::MetaWords;
 use nvm_table::probe::{match_bits, IcebergPlan, ICEBERG_LANES};
 use nvm_table::{
     BatchError, BatchSession, CellArray, CellStore, ConsistencyMode, HashScheme, InsertError,
-    Journal, MigrationSource, PmemBitmap, TableError, TableHeader,
+    Journal, PmemBitmap, TableError, TableHeader,
 };
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
-/// Magic word ("ICEBERG1").
-const MAGIC: u64 = 0x4943_4542_4552_4731;
+/// Magic word ("ICEBERG2"; format 2: one-cacheline header).
+const MAGIC: u64 = 0x4943_4542_4552_4732;
 
 /// Undo-log capacity: an op touches one cell, one bitmap word, the count.
 const LOG_RECORDS: usize = 16;
@@ -552,48 +551,6 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for Iceberg<P, K, V> {
             )));
         }
         Ok(())
-    }
-}
-
-/// The drainer's view: stability makes this trivial — occupancy is
-/// position-independent across all three levels and eviction is the
-/// scheme's ordinary retract, so there are no displacement special cases.
-impl<P: Pmem, K: HashKey, V: Pod> MigrationSource<P, K, V> for Iceberg<P, K, V> {
-    fn migration_cells(&self) -> u64 {
-        self.plan.total_cells()
-    }
-
-    fn entry_at(&self, pm: &P, i: u64) -> Option<(K, V)> {
-        self.store
-            .is_occupied(pm, i)
-            .then(|| (self.store.read_key(pm, i), self.store.read_value(pm, i)))
-    }
-
-    fn evict_cell(&mut self, pm: &mut P, i: u64) -> bool {
-        if !self.store.is_occupied(pm, i) {
-            return false;
-        }
-        let mut sess = BatchSession::new();
-        self.journal.begin(pm);
-        sess.stage_retract_tagged(pm, &mut self.journal, self.store, i);
-        self.commit_remove_chunk(pm, &mut sess);
-        true
-    }
-
-    fn migration_cursor(&self, pm: &P) -> u64 {
-        self.header.migration_cursor(pm)
-    }
-
-    fn set_migration_cursor(&mut self, pm: &mut P, cursor: u64) {
-        self.header.set_migration_cursor(pm, cursor);
-    }
-
-    fn migration_active(&self, pm: &P) -> bool {
-        self.header.migration_active(pm)
-    }
-
-    fn set_migration_active(&mut self, pm: &mut P, active: bool) {
-        self.header.set_migration_active(pm, active);
     }
 }
 

@@ -17,13 +17,13 @@ use nvm_pmem::{Pmem, Region, RegionAllocator, CACHELINE};
 use nvm_table::probe::LinearPlan;
 use nvm_table::{
     BatchError, BatchSession, CellArray, CellStore, ConsistencyMode, HashScheme, InsertError,
-    Journal, MigrationSource, PmemBitmap, TableError, TableHeader,
+    Journal, PmemBitmap, TableError, TableHeader,
 };
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
-/// Magic word ("LINPROB1").
-const MAGIC: u64 = 0x4C49_4E50_524F_4231;
+/// Magic word ("LINPROB2"; format 2: one-cacheline header).
+const MAGIC: u64 = 0x4C49_4E50_524F_4232;
 
 /// Undo-log capacity: backward shift can move a whole cluster; size for
 /// deep clusters at high load factors.
@@ -38,10 +38,6 @@ pub struct LinearProbing<P: Pmem, K: HashKey, V: Pod> {
     header: TableHeader,
     store: CellStore<K, V>,
     journal: Journal,
-    /// DRAM mirror of the header's migration-active flag. While an online
-    /// drain evicts cells, clusters contain holes, so lookups must not
-    /// early-stop on an empty slot (see [`LinearProbing::find`]).
-    migrating: bool,
     /// Probe/occupancy/displacement recording (same schema as group
     /// hashing). Pure DRAM arithmetic; never touches the pool.
     /// Linear probing never relocates, so displacement is always 0.
@@ -82,7 +78,6 @@ impl<P: Pmem, K: HashKey, V: Pod> LinearProbing<P, K, V> {
             header,
             store: CellStore::attach(b, c, n),
             journal,
-            migrating: false,
             instr: SchemeInstrumentation::new(16),
             region,
             _marker: PhantomData,
@@ -150,9 +145,7 @@ impl<P: Pmem, K: HashKey, V: Pod> LinearProbing<P, K, V> {
         let seed = header.seed(pm);
         let (_, _, _, log_r) = Self::layout(region, n);
         let journal = Journal::open(mode, log_r);
-        let mut t = Self::assemble(region, n, seed, journal, header);
-        t.migrating = t.header.migration_active(pm);
-        Ok(t)
+        Ok(Self::assemble(region, n, seed, journal, header))
     }
 
     /// The persisted hash seed.
@@ -180,18 +173,11 @@ impl<P: Pmem, K: HashKey, V: Pod> LinearProbing<P, K, V> {
         n
     }
 
-    /// Finds the cell holding `key`, walking the probe sequence.
-    ///
-    /// While an online migration is draining this table, evictions punch
-    /// holes into clusters, so the early-stop-at-empty probe invariant no
-    /// longer holds; the walk skips holes and scans the full sequence
-    /// instead. Normal operation keeps the cheap early stop.
+    /// Finds the cell holding `key`, walking the probe sequence and
+    /// stopping at the first empty slot (the probe invariant).
     fn find(&self, pm: &P, key: &K) -> Option<u64> {
         for (step, i) in self.plan.sequence(self.home(key)).enumerate() {
             if !self.store.is_occupied(pm, i) {
-                if self.migrating {
-                    continue;
-                }
                 self.instr.record_probe(step as u64 + 1);
                 return None; // probe invariant: cluster ended
             }
@@ -333,25 +319,21 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for LinearProbing<P, K, V>
             occupied += 1;
             let key = self.store.read_key(pm, i);
             // Probe invariant: every slot from home(key) to i is occupied.
-            // Suspended mid-migration, when evictions legitimately punch
-            // holes into clusters (lookups full-scan instead).
-            if !self.migrating {
-                let mut reachable = false;
-                for j in self.plan.sequence(self.home(&key)) {
-                    if j == i {
-                        reachable = true;
-                        break;
-                    }
-                    if !self.store.is_occupied(pm, j) {
-                        break;
-                    }
+            let mut reachable = false;
+            for j in self.plan.sequence(self.home(&key)) {
+                if j == i {
+                    reachable = true;
+                    break;
                 }
-                if !reachable {
-                    return Err(TableError::Corrupt(format!(
-                        "cell {i}: key unreachable from home {} (probe invariant broken)",
-                        self.home(&key)
-                    )));
+                if !self.store.is_occupied(pm, j) {
+                    break;
                 }
+            }
+            if !reachable {
+                return Err(TableError::Corrupt(format!(
+                    "cell {i}: key unreachable from home {} (probe invariant broken)",
+                    self.home(&key)
+                )));
             }
             let mut kb = vec![0u8; K::SIZE];
             key.write_to(&mut kb);
@@ -368,53 +350,6 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for LinearProbing<P, K, V>
             )));
         }
         Ok(())
-    }
-}
-
-/// The drainer's view of a linear table: the raw index space is simply
-/// the slot array. Eviction is a plain failure-atomic retract — no
-/// backward shift, because shifting would move not-yet-drained entries
-/// behind the persisted cursor and lose them. The holes this leaves are
-/// what the `migrating` flag's full-scan lookups tolerate.
-impl<P: Pmem, K: HashKey, V: Pod> MigrationSource<P, K, V> for LinearProbing<P, K, V> {
-    fn migration_cells(&self) -> u64 {
-        self.plan.n()
-    }
-
-    fn entry_at(&self, pm: &P, i: u64) -> Option<(K, V)> {
-        self.store
-            .is_occupied(pm, i)
-            .then(|| (self.store.read_key(pm, i), self.store.read_value(pm, i)))
-    }
-
-    fn evict_cell(&mut self, pm: &mut P, i: u64) -> bool {
-        if !self.store.is_occupied(pm, i) {
-            return false;
-        }
-        self.journal.begin(pm);
-        self.store
-            .stage_retract(pm, &mut self.journal, i, Some(self.header.count_off()));
-        self.store.retract(pm, i);
-        self.header.dec_count(pm);
-        self.journal.commit(pm);
-        true
-    }
-
-    fn migration_cursor(&self, pm: &P) -> u64 {
-        self.header.migration_cursor(pm)
-    }
-
-    fn set_migration_cursor(&mut self, pm: &mut P, cursor: u64) {
-        self.header.set_migration_cursor(pm, cursor);
-    }
-
-    fn migration_active(&self, pm: &P) -> bool {
-        self.header.migration_active(pm)
-    }
-
-    fn set_migration_active(&mut self, pm: &mut P, active: bool) {
-        self.header.set_migration_active(pm, active);
-        self.migrating = active;
     }
 }
 

@@ -23,13 +23,13 @@ use nvm_pmem::{Pmem, Region, RegionAllocator, CACHELINE};
 use nvm_table::probe::PathPlan;
 use nvm_table::{
     BatchError, BatchSession, CellArray, CellStore, ConsistencyMode, HashScheme, InsertError,
-    Journal, MigrationSource, PmemBitmap, TableError, TableHeader,
+    Journal, PmemBitmap, TableError, TableHeader,
 };
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
-/// Magic word ("PATHHSH1").
-const MAGIC: u64 = 0x5041_5448_4853_4831;
+/// Magic word ("PATHHSH2"; format 2: one-cacheline header).
+const MAGIC: u64 = 0x5041_5448_4853_4832;
 
 /// The paper's reserved-level default.
 pub const DEFAULT_RESERVED_LEVELS: u32 = 20;
@@ -423,49 +423,6 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for PathHash<P, K, V> {
     }
 }
 
-
-/// The drainer's view: the raw index space is the whole cell array
-/// (buckets, stash, or tree levels alike — occupancy is
-/// position-independent, so eviction never breaks a probe invariant).
-/// Eviction reuses the scheme's retract choreography, count maintained.
-impl<P: Pmem, K: HashKey, V: Pod> MigrationSource<P, K, V> for PathHash<P, K, V> {
-    fn migration_cells(&self) -> u64 {
-        self.plan.total_cells()
-    }
-
-    fn entry_at(&self, pm: &P, i: u64) -> Option<(K, V)> {
-        self.store
-            .is_occupied(pm, i)
-            .then(|| (self.store.read_key(pm, i), self.store.read_value(pm, i)))
-    }
-
-    fn evict_cell(&mut self, pm: &mut P, i: u64) -> bool {
-        if !self.store.is_occupied(pm, i) {
-            return false;
-        }
-        let mut sess = BatchSession::new();
-        self.journal.begin(pm);
-        sess.stage_retract(pm, &mut self.journal, self.store, i);
-        self.commit_remove_chunk(pm, &mut sess);
-        true
-    }
-
-    fn migration_cursor(&self, pm: &P) -> u64 {
-        self.header.migration_cursor(pm)
-    }
-
-    fn set_migration_cursor(&mut self, pm: &mut P, cursor: u64) {
-        self.header.set_migration_cursor(pm, cursor);
-    }
-
-    fn migration_active(&self, pm: &P) -> bool {
-        self.header.migration_active(pm)
-    }
-
-    fn set_migration_active(&mut self, pm: &mut P, active: bool) {
-        self.header.set_migration_active(pm, active);
-    }
-}
 
 #[cfg(test)]
 mod tests {

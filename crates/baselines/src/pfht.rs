@@ -22,13 +22,13 @@ use nvm_pmem::{Pmem, Region, RegionAllocator, CACHELINE};
 use nvm_table::probe::PfhtPlan;
 use nvm_table::{
     BatchError, BatchSession, CellArray, CellStore, ConsistencyMode, HashScheme, InsertError,
-    Journal, MigrationSource, PmemBitmap, TableError, TableHeader,
+    Journal, PmemBitmap, TableError, TableHeader,
 };
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
-/// Magic word ("PFHT0001").
-const MAGIC: u64 = 0x5046_4854_3030_3031;
+/// Magic word ("PFHT0002"; format 2: one-cacheline header).
+const MAGIC: u64 = 0x5046_4854_3030_3032;
 
 /// Cells per bucket (the published design).
 pub const BUCKET_CELLS: u64 = 4;
@@ -556,49 +556,6 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for Pfht<P, K, V> {
     }
 }
 
-
-/// The drainer's view: the raw index space is the whole cell array
-/// (buckets, stash, or tree levels alike — occupancy is
-/// position-independent, so eviction never breaks a probe invariant).
-/// Eviction reuses the scheme's retract choreography, count maintained.
-impl<P: Pmem, K: HashKey, V: Pod> MigrationSource<P, K, V> for Pfht<P, K, V> {
-    fn migration_cells(&self) -> u64 {
-        self.plan.total_cells()
-    }
-
-    fn entry_at(&self, pm: &P, i: u64) -> Option<(K, V)> {
-        self.store
-            .is_occupied(pm, i)
-            .then(|| (self.store.read_key(pm, i), self.store.read_value(pm, i)))
-    }
-
-    fn evict_cell(&mut self, pm: &mut P, i: u64) -> bool {
-        if !self.store.is_occupied(pm, i) {
-            return false;
-        }
-        let mut sess = BatchSession::new();
-        self.journal.begin(pm);
-        sess.stage_retract(pm, &mut self.journal, self.store, i);
-        self.commit_remove_chunk(pm, &mut sess);
-        true
-    }
-
-    fn migration_cursor(&self, pm: &P) -> u64 {
-        self.header.migration_cursor(pm)
-    }
-
-    fn set_migration_cursor(&mut self, pm: &mut P, cursor: u64) {
-        self.header.set_migration_cursor(pm, cursor);
-    }
-
-    fn migration_active(&self, pm: &P) -> bool {
-        self.header.migration_active(pm)
-    }
-
-    fn set_migration_active(&mut self, pm: &mut P, active: bool) {
-        self.header.set_migration_active(pm, active);
-    }
-}
 
 #[cfg(test)]
 mod tests {

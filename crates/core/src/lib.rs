@@ -67,7 +67,6 @@
 
 mod analysis;
 mod bulk;
-mod concurrent;
 mod config;
 mod table;
 
@@ -76,12 +75,8 @@ pub(crate) mod testutil;
 
 pub use analysis::{GroupFill, TableAnalysis};
 pub use bulk::BulkLoadReport;
-pub use concurrent::ShardedGroupHash;
 pub use config::{ChoiceMode, CommitStrategy, CountMode, FpMode, GroupHashConfig, ProbeLayout};
-pub use table::{GroupHash, GroupReadView, SharedCommit, TableClaims};
+pub use table::{GroupHash, GroupReadView};
 
 // Re-exported so downstream users need only this crate for the common case.
-pub use nvm_table::{
-    migrate_recover, migrate_recover_split, migrate_step, migrate_step_same_pool, HashScheme,
-    InsertError, MigrationSource,
-};
+pub use nvm_table::{HashScheme, InsertError};

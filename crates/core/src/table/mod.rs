@@ -9,17 +9,14 @@
 //! carving), construction (`create`/`open`), and the read-side accessors;
 //! the algorithmic policy lives in the submodules.
 
-mod migration;
 mod ops;
 mod probe;
 mod readview;
-mod shared;
 mod store;
 #[cfg(test)]
 mod tests;
 
 pub use readview::GroupReadView;
-pub use shared::{SharedCommit, TableClaims};
 
 use crate::config::{CommitStrategy, CountMode, FpMode, GroupHashConfig};
 use nvm_hashfn::{HashKey, HashPair, Pod};
@@ -31,7 +28,6 @@ use nvm_table::{
     MetaWords, PmemBitmap, TableError, TableHeader,
 };
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fingerprint-filter outcomes and key reads of one lookup, counted in
 /// locals so an operation adds to the shared counters once, not once per
@@ -48,8 +44,9 @@ struct FpTally {
     key_reads: u64,
 }
 
-/// Magic word identifying a group-hash header ("GRPHASH1").
-const MAGIC: u64 = 0x4752_5048_4153_4831;
+/// Magic word identifying a group-hash header ("GRPHASH2"; format 2:
+/// one-cacheline header).
+const MAGIC: u64 = 0x4752_5048_4153_4832;
 
 /// Reserved undo-log footprint (used only by the forced-logging ablation,
 /// but always carved so the layout is config-independent).
@@ -97,10 +94,8 @@ pub struct GroupHash<P: Pmem, K: HashKey, V: Pod> {
     /// The one place [`ConsistencyMode`] applies: a no-op under the
     /// paper's atomic-bitmap commit, an undo log under the ablation.
     journal: Journal,
-    /// Cached count for [`CountMode::Volatile`]. Atomic so the shared
-    /// CAS write path can maintain it through `&self`; exclusive paths
-    /// use plain load/store (they own the table).
-    volatile_count: AtomicU64,
+    /// Cached count for [`CountMode::Volatile`].
+    volatile_count: u64,
     /// DRAM-resident fingerprint tags for [`FpMode::On`], one tag word
     /// array per level; never persisted, rebuilt from bitmaps + cells on
     /// `open`/`recover` (see [`GroupHash::fp_tag`]).
@@ -154,7 +149,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             store1: CellStore::attach(b1, c1, n),
             store2: CellStore::attach(b2, c2, n),
             journal: Journal::open(consistency_of(config.commit), log_r),
-            volatile_count: AtomicU64::new(0),
+            volatile_count: 0,
             // Padded to a multiple of 64 cells, so a group scan's tag-word
             // loads stay in bounds on tiny tables (padding lanes are never
             // candidates: their occupancy bits are always clear).
@@ -248,8 +243,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         }
         let mut t = Self::assemble(region, config, header);
         if t.config.count_mode == CountMode::Volatile {
-            t.volatile_count
-                .store(t.store1.occupied(pm) + t.store2.occupied(pm), Ordering::Relaxed);
+            t.volatile_count = t.store1.occupied(pm) + t.store2.occupied(pm);
         }
         t.rebuild_fp_cache(pm);
         Ok(t)
@@ -323,7 +317,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     pub fn len(&self, pm: &P) -> u64 {
         match self.config.count_mode {
             CountMode::Persistent => self.header.count(pm),
-            CountMode::Volatile => self.volatile_count.load(Ordering::Relaxed),
+            CountMode::Volatile => self.volatile_count,
         }
     }
 
@@ -342,7 +336,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// [`PmemRead`](nvm_pmem::PmemRead) handle. The view holds layout
     /// only (no pool bytes), so it stays valid across mutations of the
     /// owning table; concurrent readers must pair it with a validation
-    /// protocol (see `ShardedGroupHash`).
+    /// protocol (the `Store`'s shard seqlock).
     pub fn read_view(&self) -> GroupReadView<K, V> {
         GroupReadView::new(self.config, self.hash, self.store1, self.store2)
     }
@@ -361,7 +355,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         }
     }
 
-    // ---- crate-internal accessors for analysis/expansion ----
+    // ---- crate-internal accessors for analysis ----
 
     pub(crate) fn parts(
         &self,

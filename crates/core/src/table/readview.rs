@@ -6,7 +6,7 @@
 //! [`PmemRead`] implementor. It deliberately carries **no** write-capable
 //! pool surface, no fingerprint cache, and no instrumentation: it is the
 //! minimal probe machine that concurrent readers clone and run lock-free
-//! (the seqlock in `crate::concurrent` validates each optimistic read).
+//! (the `Store`'s shard seqlock validates each optimistic read).
 //!
 //! The view stays correct across any number of inserts/removes on the
 //! owning table because everything it holds is layout, not contents: the
@@ -16,21 +16,10 @@
 //! Layering: this module may name only the read-side pool surface — the
 //! `ci.sh` lint rejects any use of the write-capable trait here.
 //!
-//! # Racing CAS writers
-//!
-//! Under the sharded table's lock-free insert/remove path, writers
-//! retract cells by clearing the occupancy bit *without* bumping the
-//! shard's seqlock. A reader can therefore match a cell, lose the race
-//! to a remover, and read a value the scrub is already overwriting. The
-//! view defends with **hit revalidation**: after reading a matched
-//! cell's value it re-checks the occupancy bit and the key, and treats
-//! the cell as non-matching if either changed — a linearizable miss (the
-//! remove committed before the read returned). The residual ABA window —
-//! retract + republish of a *different* key into the same cell, with the
-//! value read landing between the two key re-checks — cannot yield a
-//! torn value for ≤8-byte aligned values (single atomic load) and is
-//! closed for larger values by the seqlock the concurrent wrapper layers
-//! on top of structural operations.
+//! A read that overlaps a mutation may observe a half-written cell; the
+//! view does not defend against that itself. Every writer of a shared
+//! table runs inside the caller's seqlock write section, so the caller
+//! discards (and re-runs) any read the write overlapped.
 
 use super::probe;
 use crate::config::{GroupHashConfig, ProbeLayout};
@@ -88,15 +77,11 @@ impl<K: HashKey, V: Pod> GroupReadView<K, V> {
     pub fn get<R: PmemRead>(&self, pm: &R, key: &K) -> Option<V> {
         let (k1, k2) = probe::candidate_slots(&self.hash, &self.config, key);
         if self.level1_holds(pm, k1, key) {
-            if let Some(v) = self.read_hit(&self.store1, pm, k1, key) {
-                return Some(v);
-            }
+            return Some(self.store1.read_value(pm, k1));
         }
         if let Some(k2) = k2 {
             if self.level1_holds(pm, k2, key) {
-                if let Some(v) = self.read_hit(&self.store1, pm, k2, key) {
-                    return Some(v);
-                }
+                return Some(self.store1.read_value(pm, k2));
             }
         }
         let plan = probe::plan(&self.config);
@@ -140,20 +125,9 @@ impl<K: HashKey, V: Pod> GroupReadView<K, V> {
     /// assert_eq!(hits, vec![Some(!1), Some(!63), None]);
     /// ```
     pub fn get_batch<R: PmemRead>(&self, pm: &R, keys: &[K]) -> Vec<Option<V>> {
-        let mut out = Vec::new();
-        self.get_batch_into(pm, keys, &mut out);
-        out
-    }
-
-    /// Scratch-reusing form of [`GroupReadView::get_batch`]: clears `out`
-    /// and fills it with one answer per key. The sharded concurrent path
-    /// calls this once per seqlock attempt, reusing the same buffer across
-    /// shards and retries so validation failures cost no allocation.
-    pub fn get_batch_into<R: PmemRead>(&self, pm: &R, keys: &[K], out: &mut Vec<Option<V>>) {
-        out.clear();
-        out.resize(keys.len(), None);
+        let mut out = vec![None; keys.len()];
         if keys.is_empty() {
-            return;
+            return out;
         }
         // Hash the whole vector up front...
         let mut slots: Vec<(u64, Option<u64>)> = Vec::with_capacity(keys.len());
@@ -174,17 +148,13 @@ impl<K: HashKey, V: Pod> GroupReadView<K, V> {
         for (i, key) in keys.iter().enumerate() {
             let (k1, k2) = slots[i];
             if self.level1_holds(pm, k1, key) {
-                if let Some(v) = self.read_hit(&self.store1, pm, k1, key) {
-                    out[i] = Some(v);
-                    continue;
-                }
+                out[i] = Some(self.store1.read_value(pm, k1));
+                continue;
             }
             if let Some(k2) = k2 {
                 if self.level1_holds(pm, k2, key) {
-                    if let Some(v) = self.read_hit(&self.store1, pm, k2, key) {
-                        out[i] = Some(v);
-                        continue;
-                    }
+                    out[i] = Some(self.store1.read_value(pm, k2));
+                    continue;
                 }
             }
             sel.push(i as u32);
@@ -222,6 +192,7 @@ impl<K: HashKey, V: Pod> GroupReadView<K, V> {
                 }
             }
         }
+        out
     }
 
     /// Whether `key` is present.
@@ -260,27 +231,9 @@ impl<K: HashKey, V: Pod> GroupReadView<K, V> {
         self.store1.is_occupied(pm, k) && self.store1.read_key(pm, k) == *key
     }
 
-    /// Reads a matched cell's value, then revalidates the match (bit
-    /// still set, key still ours). `None` means a concurrent retract beat
-    /// the read — the caller treats the cell as non-matching, which
-    /// linearizes the lookup after the remove's commit.
-    #[inline]
-    fn read_hit<R: PmemRead>(
-        &self,
-        store: &CellStore<K, V>,
-        pm: &R,
-        idx: u64,
-        key: &K,
-    ) -> Option<V> {
-        let v = store.read_value(pm, idx);
-        (store.is_occupied(pm, idx) && store.read_key(pm, idx) == *key).then_some(v)
-    }
-
     /// Scans group `g`'s level-2 cells for `key` under the configured
     /// probe layout (the `plan.cell` indirection covers both contiguous
-    /// and strided) and returns the revalidated value on a hit. A cell
-    /// that matches but fails revalidation is skipped — the remover won;
-    /// the rest of the group still gets scanned.
+    /// and strided) and returns the value on a hit.
     fn find_in_group<R: PmemRead>(
         &self,
         pm: &R,
@@ -291,9 +244,7 @@ impl<K: HashKey, V: Pod> GroupReadView<K, V> {
         for i in 0..self.config.group_size {
             let idx = plan.cell(g, i);
             if self.store2.is_occupied(pm, idx) && self.store2.read_key(pm, idx) == *key {
-                if let Some(v) = self.read_hit(&self.store2, pm, idx, key) {
-                    return Some(v);
-                }
+                return Some(self.store2.read_value(pm, idx));
             }
         }
         None

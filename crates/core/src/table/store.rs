@@ -27,9 +27,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     pub(crate) fn set_count_committed(&mut self, pm: &mut P, count: u64) {
         match self.config.count_mode {
             CountMode::Persistent => self.header.set_count(pm, count),
-            CountMode::Volatile => {
-                self.volatile_count.store(count, std::sync::atomic::Ordering::Relaxed)
-            }
+            CountMode::Volatile => self.volatile_count = count,
         }
     }
 
@@ -94,13 +92,10 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         };
         sess.commit(pm, &mut self.journal, count);
         if self.config.count_mode == CountMode::Volatile {
-            use std::sync::atomic::Ordering;
-            let v = self
+            self.volatile_count = self
                 .volatile_count
-                .load(Ordering::Relaxed)
                 .checked_add_signed(delta)
                 .expect("count out of range");
-            self.volatile_count.store(v, Ordering::Relaxed);
         }
     }
 

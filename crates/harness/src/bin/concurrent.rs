@@ -1,4 +1,5 @@
-//! Concurrent read throughput: lock-free shard lookups under writer load.
+//! Concurrent `Store` throughput: lock-free reads under writer load, and
+//! group-committed write scaling.
 use gh_harness::{experiments::concurrent, Args};
 
 fn main() {

@@ -47,7 +47,7 @@ use nvm_alloc::{AllocError, FragStats, GcOwner, HeapConfig, HeapReadView, PmemHe
 use nvm_hashfn::murmur3_x64_128;
 use nvm_metrics::{HeapCounters, MetricsRegistry};
 use nvm_pmem::{align_up, Pmem, PmemRead, Region, RegionAllocator, CACHELINE};
-use nvm_table::{HashScheme, InsertError, MigrationSource, TableError};
+use nvm_table::{HashScheme, InsertError, TableError};
 use std::collections::{HashMap, HashSet};
 
 mod store;
@@ -173,16 +173,12 @@ fn encode_blob(key: &[u8], value: &[u8]) -> Vec<u8> {
     blob
 }
 
-fn decode_blob(blob: &[u8]) -> (&[u8], &[u8]) {
-    let klen = u32::from_le_bytes(blob[..4].try_into().unwrap()) as usize;
-    (&blob[4..4 + klen], &blob[4 + klen..])
-}
-
-/// [`decode_blob`] for blobs that may not be well-formed KV records:
-/// the GC sweep can encounter torn or foreign allocations, and the
-/// lock-free [`KvReadView`] paths can observe a slot mid-rewrite (new
-/// length prefix, stale bytes) before seqlock validation discards the
-/// result — neither may panic.
+/// Splits an [`encode_blob`] record into `(key, value)`, or `None` when
+/// the length prefix does not fit the blob. Every reader goes through
+/// this check: a corrupt pool image can hold any prefix, the GC sweep can
+/// meet torn or foreign allocations, and the lock-free [`KvReadView`]
+/// paths can observe a slot mid-rewrite before seqlock validation
+/// discards the result — none of them may panic.
 fn try_decode_blob(blob: &[u8]) -> Option<(&[u8], &[u8])> {
     let klen = u32::from_le_bytes(blob.get(..4)?.try_into().ok()?) as usize;
     let key = blob.get(4..4 + klen)?;
@@ -339,10 +335,11 @@ impl<P: Pmem> PmemKv<P> {
         })
     }
 
-    /// Reads the blob behind an index entry and checks the stored key.
+    /// Reads the blob behind an index entry and checks the stored key. A
+    /// malformed blob reads as a miss, as in [`KvReadView`].
     fn load_checked(&self, pm: &P, ptr: u64, key: &[u8]) -> Option<Vec<u8>> {
         let blob = self.heap.read(pm, PmemPtr(ptr)).ok()?;
-        let (stored_key, value) = decode_blob(&blob);
+        let (stored_key, value) = try_decode_blob(&blob)?;
         (stored_key == key).then(|| value.to_vec())
     }
 
@@ -481,8 +478,8 @@ impl<P: Pmem> PmemKv<P> {
     }
 
     /// Fetches `key`'s value, distinguishing "not stored" (`Ok(None)`)
-    /// from a heap read failure — a dangling index pointer — which
-    /// [`PmemKv::get`] silently folds into `None`.
+    /// from corruption — a dangling index pointer or a blob that is not
+    /// a KV record — which [`PmemKv::get`] silently folds into `None`.
     pub fn try_get(&self, pm: &P, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         let fp = fingerprint(key);
         let Some(ptr) = self.index.get(pm, &fp) else {
@@ -492,7 +489,8 @@ impl<P: Pmem> PmemKv<P> {
             .heap
             .read(pm, PmemPtr(ptr))
             .map_err(|e| KvError::Corrupt(format!("index points at bad blob: {e}")))?;
-        let (stored_key, value) = decode_blob(&blob);
+        let (stored_key, value) = try_decode_blob(&blob)
+            .ok_or_else(|| KvError::Corrupt(format!("blob {ptr:#x} is not a KV record")))?;
         Ok((stored_key == key).then(|| value.to_vec()))
     }
 
@@ -590,10 +588,10 @@ impl<P: Pmem> PmemKv<P> {
     }
 
     /// Runs one bounded GC increment over up to `max_slots` heap slots —
-    /// the online counterpart of [`PmemKv::gc`], shaped like
-    /// [`PmemKv::migrate_into`]: unreferenced blobs are freed, and live
-    /// blobs in sparse slabs are compacted by copy → pointer swap → free,
-    /// so a crash anywhere leaves the index naming an intact blob.
+    /// the online counterpart of [`PmemKv::gc`]: unreferenced blobs are
+    /// freed, and live blobs in sparse slabs are compacted by copy →
+    /// pointer swap → free, so a crash anywhere leaves the index naming an
+    /// intact blob.
     /// Returns `Ok(true)` while the pass is incomplete.
     pub fn gc_step(&mut self, pm: &mut P, max_slots: u64) -> Result<bool, KvError> {
         let mut owner = IndexOwner {
@@ -630,7 +628,8 @@ impl<P: Pmem> PmemKv<P> {
                 .heap
                 .read(pm, PmemPtr(ptr))
                 .map_err(|e| KvError::Corrupt(format!("index points at bad blob: {e}")))?;
-            let (key, _) = decode_blob(&blob);
+            let (key, _) = try_decode_blob(&blob)
+                .ok_or_else(|| KvError::Corrupt(format!("blob {ptr:#x} is not a KV record")))?;
             if fingerprint(key) != fp {
                 return Err(KvError::Corrupt(format!(
                     "blob {ptr:#x} key does not match its fingerprint"
@@ -647,86 +646,19 @@ impl<P: Pmem> PmemKv<P> {
         Ok(())
     }
 
-    /// Visits every `(key, value)` pair (order unspecified).
+    /// Visits every `(key, value)` pair (order unspecified). Entries whose
+    /// blob is unreadable or malformed are skipped;
+    /// [`PmemKv::check_consistency`] reports them.
     pub fn for_each(&self, pm: &P, mut f: impl FnMut(&[u8], &[u8])) {
         let mut ptrs = Vec::new();
         self.index.for_each_entry(pm, |_, ptr| ptrs.push(ptr));
         for ptr in ptrs {
             if let Ok(blob) = self.heap.read(pm, PmemPtr(ptr)) {
-                let (k, v) = decode_blob(&blob);
-                f(k, v);
-            }
-        }
-    }
-
-    /// True while an interrupted [`PmemKv::migrate_into`] still has
-    /// entries to move (including across a crash — the flag persists in
-    /// the index header). Keep calling `migrate_into` until it returns
-    /// `Ok(false)`.
-    pub fn migration_pending(&self, pm: &P) -> bool {
-        self.index.migration_active(pm)
-    }
-
-    /// Moves up to `max_moves` entries into `dst` (a store in another
-    /// region of the same pool, typically sized larger), returning
-    /// `Ok(true)` while entries remain — the kv-level counterpart of the
-    /// index's incremental online expansion, for when the *store* has
-    /// outgrown its region and must relocate wholesale without a
-    /// stop-the-world rebuild.
-    ///
-    /// Each moved entry is re-stored in `dst` under its original key
-    /// (blob copied into `dst`'s heap, fingerprint re-indexed), then
-    /// evicted here (index retract + heap free). The persisted migration
-    /// cursor in this store's index header makes the drain resumable:
-    /// after a crash, reopen both stores, run [`PmemKv::recover`] on
-    /// each, and keep calling `migrate_into` — re-moving the boundary
-    /// entry is an idempotent upsert in `dst`, so the cursor only needs
-    /// persisting once per call, not once per entry. Mid-drain, a key
-    /// lives in exactly one store except for the entry being moved,
-    /// which may transiently exist in both (with equal values); route
-    /// lookups `dst`-first and the window is invisible.
-    ///
-    /// On `Err` (e.g. `dst` full) the migration stays pending and no
-    /// entry is lost; the failing entry is still stored here.
-    pub fn migrate_into(
-        &mut self,
-        pm: &mut P,
-        dst: &mut PmemKv<P>,
-        max_moves: u64,
-    ) -> Result<bool, KvError> {
-        let total = self.index.migration_cells();
-        if !self.index.migration_active(pm) {
-            // Cursor first, flag second: a crash between the two leaves
-            // the flag clear, and the next call restarts cleanly.
-            self.index.set_migration_cursor(pm, 0);
-            self.index.set_migration_active(pm, true);
-        }
-        let mut cursor = self.index.migration_cursor(pm);
-        let mut moved = 0u64;
-        while cursor < total && moved < max_moves {
-            if let Some((_, ptr)) = self.index.entry_at(pm, cursor) {
-                let blob = self
-                    .heap
-                    .read(pm, PmemPtr(ptr))
-                    .map_err(|e| KvError::Corrupt(format!("index points at bad blob: {e}")))?;
-                let (key, value) = decode_blob(&blob);
-                if let Err(e) = dst.set(pm, key, value) {
-                    self.index.set_migration_cursor(pm, cursor);
-                    return Err(e);
+                if let Some((k, v)) = try_decode_blob(&blob) {
+                    f(k, v);
                 }
-                let evicted = self.index.evict_cell(pm, cursor);
-                debug_assert!(evicted);
-                let _ = self.heap.free(pm, PmemPtr(ptr));
-                moved += 1;
             }
-            cursor += 1;
         }
-        self.index.set_migration_cursor(pm, cursor);
-        if cursor >= total {
-            self.index.set_migration_active(pm, false);
-            return Ok(false);
-        }
-        Ok(true)
     }
 
     /// (index entries, heap slots allocated) — equal by construction,
@@ -862,24 +794,6 @@ mod tests {
         (pm, kv, region, cfg)
     }
 
-    /// Two stores side by side in one pool: `src` sized for `src_items`,
-    /// `dst` sized for `dst_items`.
-    fn setup_pair(
-        src_items: u64,
-        dst_items: u64,
-    ) -> (SimPmem, PmemKv<SimPmem>, PmemKv<SimPmem>, Region, Region) {
-        let src_cfg = KvConfig::for_capacity(src_items, 32);
-        let dst_cfg = KvConfig::for_capacity(dst_items, 32);
-        let src_size = PmemKv::<SimPmem>::required_size(&src_cfg);
-        let dst_size = PmemKv::<SimPmem>::required_size(&dst_cfg);
-        let mut pm = SimPmem::new(src_size + dst_size, SimConfig::fast_test());
-        let src_region = Region::new(0, src_size);
-        let dst_region = Region::new(src_size, dst_size);
-        let src = PmemKv::create(&mut pm, src_region, &src_cfg).unwrap();
-        let dst = PmemKv::create(&mut pm, dst_region, &dst_cfg).unwrap();
-        (pm, src, dst, src_region, dst_region)
-    }
-
     /// The end state crash tests assert after `open` and again after
     /// `recover`: heap occupancy is exactly the index's entries
     /// (`usage()` equal), each naming its intact blob. The index's own
@@ -904,123 +818,6 @@ mod tests {
         let off = hits.next().expect("pointer not found in the pool");
         assert!(hits.next().is_none(), "pointer stored twice");
         off
-    }
-
-    #[test]
-    fn migrate_into_moves_store_in_bounded_steps() {
-        let (mut pm, mut src, mut dst, _, _) = setup_pair(64, 256);
-        for i in 0..50u32 {
-            let key = format!("mig-{i}");
-            src.set(&mut pm, key.as_bytes(), &vec![i as u8; (i % 40) as usize])
-                .unwrap();
-        }
-        dst.set(&mut pm, b"resident", b"already-here").unwrap();
-
-        let mut steps = 0u32;
-        while src.migrate_into(&mut pm, &mut dst, 7).unwrap() {
-            assert!(src.migration_pending(&pm));
-            steps += 1;
-            assert!(steps < 10_000, "drain never finished");
-        }
-        assert!(steps > 1, "max_moves=7 over 50 entries must take many steps");
-
-        assert!(src.is_empty(&pm));
-        assert!(!src.migration_pending(&pm));
-        assert_eq!(dst.len(&pm), 51);
-        for i in 0..50u32 {
-            let key = format!("mig-{i}");
-            assert_eq!(src.get(&pm, key.as_bytes()), None);
-            assert_eq!(
-                dst.get(&pm, key.as_bytes()),
-                Some(vec![i as u8; (i % 40) as usize]),
-                "{key}"
-            );
-        }
-        assert_eq!(dst.get(&pm, b"resident").as_deref(), Some(&b"already-here"[..]));
-        src.check_consistency(&pm).unwrap();
-        dst.check_consistency(&pm).unwrap();
-        assert_eq!(src.usage(&pm), (0, 0));
-        let (entries, slots) = dst.usage(&pm);
-        assert_eq!(entries, slots, "migration leaked dst heap slots");
-    }
-
-    #[test]
-    fn crash_anywhere_during_migrate_into_is_safe() {
-        use nvm_pmem::{run_with_crash, CrashPlan};
-        let (mut pm0, mut src0, _dst0, src_region, dst_region) = setup_pair(32, 128);
-        let n = 12u32;
-        for i in 0..n {
-            src0.set(&mut pm0, format!("ck-{i}").as_bytes(), &[i as u8; 9])
-                .unwrap();
-        }
-        drop(src0);
-
-        let mut at = 0u64;
-        loop {
-            let mut pm = pm0.clone();
-            let mut src = PmemKv::open(&mut pm, src_region).unwrap();
-            let mut dst = PmemKv::open(&mut pm, dst_region).unwrap();
-            let base = pm.events();
-            pm.set_crash_plan(Some(CrashPlan {
-                at_event: base + at,
-            }));
-            let done = run_with_crash(|| {
-                while src.migrate_into(&mut pm, &mut dst, 3).unwrap() {}
-            })
-            .is_ok();
-            pm.crash(CrashResolution::Random(at));
-
-            // Reopen and audit the torn state, then recover and audit it
-            // again: occupancy is exact from `open` on.
-            let mut src = PmemKv::open(&mut pm, src_region).unwrap();
-            let mut dst = PmemKv::open(&mut pm, dst_region).unwrap();
-            for stage in ["open", "recover"] {
-                if stage == "recover" {
-                    src.recover(&mut pm).unwrap();
-                    dst.recover(&mut pm).unwrap();
-                }
-                assert_exact(&src, &pm, stage, &format!("src after {stage} at +{at}"));
-                assert_exact(&dst, &pm, stage, &format!("dst after {stage} at +{at}"));
-                let mut dups = 0u64;
-                for i in 0..n {
-                    let key = format!("ck-{i}");
-                    let want = vec![i as u8; 9];
-                    let s = src.get(&pm, key.as_bytes());
-                    let d = dst.get(&pm, key.as_bytes());
-                    // Every copy that exists is intact, and at least one does.
-                    for got in [&s, &d].into_iter().flatten() {
-                        assert_eq!(*got, want, "{key} after {stage} at +{at}");
-                    }
-                    assert!(s.is_some() || d.is_some(), "{key} lost after {stage} at +{at}");
-                    if s.is_some() && d.is_some() {
-                        dups += 1;
-                    }
-                }
-                // Only the entry in flight can transiently live in both.
-                assert!(dups <= 1, "{dups} duplicated keys after {stage} at +{at}");
-            }
-
-            // Resume the drain to completion; the boundary re-move is an
-            // idempotent upsert.
-            while src.migrate_into(&mut pm, &mut dst, 3).unwrap() {}
-            assert!(src.is_empty(&pm));
-            assert!(!src.migration_pending(&pm));
-            assert_eq!(dst.len(&pm), n as u64);
-            for i in 0..n {
-                let key = format!("ck-{i}");
-                assert_eq!(dst.get(&pm, key.as_bytes()), Some(vec![i as u8; 9]), "{key}");
-            }
-            src.check_consistency(&pm).unwrap();
-            dst.check_consistency(&pm).unwrap();
-            let (entries, slots) = dst.usage(&pm);
-            assert_eq!(entries, slots, "leak after resumed drain at +{at}");
-
-            if done {
-                break;
-            }
-            at += 1;
-            assert!(at < 5000, "migration never completed");
-        }
     }
 
     #[test]
@@ -1127,6 +924,31 @@ mod tests {
         pm.write_u64(ptr as usize, 1 << 40);
         assert_eq!(view.get(&pm, b"k"), None);
         assert_eq!(view.get_batch(&pm, &[b"k".as_slice()]), vec![None]);
+    }
+
+    /// A key-length prefix that runs past its blob (a corrupt image) is a
+    /// typed error for the checking paths, a miss for the plain reads, and
+    /// skipped by `for_each` — never a slice panic.
+    #[test]
+    fn engine_paths_survive_a_malformed_key_length() {
+        let (mut pm, mut kv, _, _) = setup(64);
+        kv.set(&mut pm, b"k", b"value").unwrap();
+        kv.set(&mut pm, b"other", b"fine").unwrap();
+        let mut ptr = 0;
+        kv.index
+            .for_each_entry(&pm, |fp, p| {
+                if fp == fingerprint(b"k") {
+                    ptr = p
+                }
+            });
+        pm.write(ptr as usize + LEN_PREFIX, &u32::MAX.to_le_bytes());
+        assert_eq!(kv.get(&pm, b"k"), None);
+        assert_eq!(kv.get_batch(&pm, &[b"k".as_slice()]), vec![None]);
+        assert!(matches!(kv.try_get(&pm, b"k"), Err(KvError::Corrupt(_))));
+        assert!(matches!(kv.check_consistency(&pm), Err(KvError::Corrupt(_))));
+        let mut seen = Vec::new();
+        kv.for_each(&pm, |k, _| seen.push(k.to_vec()));
+        assert_eq!(seen, vec![b"other".to_vec()]);
     }
 
     #[test]

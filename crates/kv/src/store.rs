@@ -10,11 +10,13 @@
 //! # Sharding and concurrency
 //!
 //! A store is `1..n` independent [`PmemKv`] pools ("shards"); keys route
-//! by hash. Each shard pairs a writer lock with a [`SeqLock`]-validated
-//! lock-free read path (the same primitive [`ShardedGroupHash`] uses,
-//! lifted to whole-store reads): readers probe a [`KvReadView`] through a
-//! shared [`PmemRead`] handle and retry iff the shard's sequence number
-//! moved — so `get`/`get_batch` never block behind writers.
+//! by hash. It is the workspace's one concurrent table. Each shard pairs
+//! a writer lock with a [`SeqLock`]-validated lock-free read path:
+//! writers take the shard mutex (so each pool keeps the paper's single
+//! writer, enforced by its `&mut` access) and mutate inside a seqlock
+//! write section; readers probe a [`KvReadView`] through a shared
+//! [`PmemRead`] handle and retry iff the shard's sequence number moved —
+//! so `get`/`get_batch` never block behind writers.
 //!
 //! # Cross-caller group commit
 //!
@@ -38,13 +40,11 @@
 //! fence that makes the batch durable — a sampler can never observe
 //! staged-but-uncommitted ops, and successive snapshots differ by whole
 //! batches.
-//!
-//! [`ShardedGroupHash`]: group_hash::ShardedGroupHash
 
 use crate::{KvConfig, KvError, KvReadView, PmemKv};
 use nvm_alloc::{AllocError, FragStats};
 use nvm_hashfn::murmur3_x64_128;
-use nvm_metrics::{HeapCounters, Histogram, MetricsRegistry, SchemeInstrumentation};
+use nvm_metrics::{HeapCounters, Histogram, Json, MetricsRegistry, SchemeInstrumentation};
 use nvm_pmem::{Pmem, PmemStats, Region, SimConfig, SimPmem};
 use nvm_table::{SeqLock, TableError};
 use parking_lot::Mutex;
@@ -670,10 +670,13 @@ impl<P: Pmem> Store<P> {
         }
     }
 
-    /// Observability registry: pmem counters summed over shards, and the
-    /// heap counters and index histograms merged over shards.
+    /// Observability registry: pmem counters summed over shards, the
+    /// heap counters and index histograms merged over shards, and the
+    /// facade's own `store` section — the [`Store::counters`] fields,
+    /// [`Store::seqlock_retries`] and the `batch_size` histogram.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
+        reg.set("store", self.store_json());
         reg.set_pmem("pmem", &self.pmem_stats());
         let mut allocs = 0;
         let mut frees = 0;
@@ -713,6 +716,20 @@ impl<P: Pmem> Store<P> {
             reg.set_instrumentation("index", i);
         }
         reg
+    }
+
+    /// The `store` metrics section (see [`Store::metrics`]).
+    fn store_json(&self) -> Json {
+        let c = self.counters();
+        let mut j = Json::obj();
+        j.insert("sets", c.sets);
+        j.insert("deletes", c.deletes);
+        j.insert("gets", c.gets);
+        j.insert("get_hits", c.get_hits);
+        j.insert("batches", c.batches);
+        j.insert("seqlock_retries", self.seqlock_retries());
+        j.insert("batch_size", self.core.batch_sizes.to_json());
+        j
     }
 
     /// Tears the facade down and returns the shard pools (image
@@ -1427,6 +1444,40 @@ mod tests {
             .unwrap();
         store.set(b"k", b"v").unwrap();
         assert!(index_probe_count(&store) > 0, "empty index probe histogram");
+    }
+
+    #[test]
+    fn metrics_store_section_reports_counters_and_batch_sizes() {
+        let store = StoreBuilder::new()
+            .capacity(1024, 32)
+            .shards(2)
+            .create_sim(SimConfig::fast_test())
+            .unwrap();
+        let items: Vec<(Vec<u8>, Vec<u8>)> = (0..20u32)
+            .map(|i| (format!("s{i}").into_bytes(), vec![i as u8; 8]))
+            .collect();
+        let refs: Vec<(&[u8], &[u8])> =
+            items.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
+        store.set_batch(&refs).unwrap();
+        store.set(b"one", b"v").unwrap();
+        assert!(store.delete(b"one").unwrap());
+        assert_eq!(store.get(b"s3").as_deref(), Some(&[3u8; 8][..]));
+        assert_eq!(store.get(b"missing"), None);
+
+        let json = store.metrics().to_json();
+        let sec = json.get("store").expect("metrics() has a store section");
+        let field = |k: &str| sec.get(k).and_then(Json::as_u64);
+        let c = store.counters();
+        assert_eq!(field("sets"), Some(c.sets));
+        assert_eq!(field("deletes"), Some(c.deletes));
+        assert_eq!(field("gets"), Some(c.gets));
+        assert_eq!(field("get_hits"), Some(c.get_hits));
+        assert_eq!(field("batches"), Some(c.batches));
+        assert_eq!(field("seqlock_retries"), Some(store.seqlock_retries()));
+        assert_eq!((c.sets, c.deletes, c.gets, c.get_hits), (21, 1, 2, 1));
+        let hist = sec.get("batch_size").expect("store.batch_size histogram");
+        assert_eq!(hist.get("count").and_then(Json::as_u64), Some(c.batches));
+        assert_eq!(hist, &store.batch_size_histogram().to_json());
     }
 
     #[test]

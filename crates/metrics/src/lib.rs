@@ -46,7 +46,6 @@
 //! assert!(json.contains("\"flushes\": 1"));
 //! ```
 
-mod concurrency;
 mod counter;
 mod histogram;
 mod instrument;
@@ -54,7 +53,6 @@ mod json;
 mod optrace;
 mod registry;
 
-pub use concurrency::{ConcurrencyCounters, ConcurrencySnapshot};
 pub use counter::Counter;
 pub use histogram::Histogram;
 pub use instrument::{BatchCounters, FingerprintCounters, HeapCounters, SchemeInstrumentation};

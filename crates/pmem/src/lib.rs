@@ -40,7 +40,7 @@
 //! (`Send + Sync`) that shares the backing pool, for reader threads that
 //! cannot borrow the writer's `&self`. Torn reads racing a concurrent
 //! writer are possible by design; callers layer a validation protocol (e.g.
-//! the seqlock in `group_hash::ShardedGroupHash`) on top.
+//! the shard seqlock in `nvm_kv::Store`) on top.
 //!
 //! # Consistency contract
 //!
@@ -63,9 +63,9 @@ mod stats;
 
 pub use clock::{LatencyModel, SimClock};
 pub use crash::{run_with_crash, CrashPlan, CrashResolution, CrashSignal};
-pub use real::{RealPmem, RealPmemReader, RealPmemWriter};
+pub use real::{RealPmem, RealPmemReader};
 pub use region::{align_up, Region, RegionAllocator, CACHELINE};
-pub use sim::{SimConfig, SimPmem, SimPmemReader, SimPmemWriter};
+pub use sim::{SimConfig, SimPmem, SimPmemReader};
 pub use stats::PmemStats;
 
 use nvm_cachesim::CacheStats;
@@ -113,59 +113,6 @@ pub trait PmemRead {
     }
 }
 
-/// Shared-capability mutation over persistent memory, for lock-free
-/// writers.
-///
-/// Everything here takes `&self`: many writer threads may mutate the same
-/// pool concurrently through cloned [`Pmem::WriteHandle`]s. The safety
-/// contract is the caller's: concurrent writers must target disjoint bytes
-/// (a cell-claim table, a latch, or a lock keeps them apart), with one
-/// exception — [`PmemWrite::compare_exchange_u64`] on the *same* aligned
-/// word is the supported contention point, exactly the 8-byte
-/// occupancy-bitmap CAS the lock-free insert path is built on.
-///
-/// The persistence contract is unchanged from [`Pmem`]: a store is durable
-/// only after its line is flushed and a fence retires the flush.
-pub trait PmemWrite: PmemRead {
-    /// Writes `data` at `off`. Volatile until flushed and fenced. Callers
-    /// must guarantee no concurrent writer touches the same bytes.
-    fn write(&self, off: usize, data: &[u8]);
-
-    /// Writes a little-endian u64 at `off` (any alignment; not atomic
-    /// unless 8-byte aligned).
-    fn write_u64(&self, off: usize, v: u64) {
-        self.write(off, &v.to_le_bytes());
-    }
-
-    /// Failure-atomic 8-byte store. `off` must be 8-byte aligned; panics
-    /// otherwise.
-    fn atomic_write_u64(&self, off: usize, v: u64);
-
-    /// Atomic compare-and-swap of the aligned 8-byte word at `off`:
-    /// if the word equals `current`, stores `new` and returns `Ok(current)`;
-    /// otherwise returns `Err(actual)` with the observed value. `off` must
-    /// be 8-byte aligned; panics otherwise.
-    ///
-    /// Every attempt counts as one atomic write in [`PmemStats`] (the
-    /// paper's cost model charges the store-buffer/XADD traffic whether or
-    /// not the CAS wins); like every store, the result is volatile until
-    /// flushed and fenced.
-    fn compare_exchange_u64(&self, off: usize, current: u64, new: u64) -> Result<u64, u64>;
-
-    /// Initiates write-back-and-invalidate (`clflush`) of every cacheline
-    /// overlapping `[off, off + len)`. Durability requires a later `fence`.
-    fn flush(&self, off: usize, len: usize);
-
-    /// Orders and retires outstanding flushes (`mfence`).
-    fn fence(&self);
-
-    /// `flush` + `fence` — the paper's `Persist`.
-    fn persist(&self, off: usize, len: usize) {
-        self.flush(off, len);
-        self.fence();
-    }
-}
-
 /// Byte-addressable persistent memory with explicit persistence control.
 ///
 /// Offsets are pool-relative byte addresses. All mutation is volatile until
@@ -174,28 +121,17 @@ pub trait PmemWrite: PmemRead {
 ///
 /// Reads live on the [`PmemRead`] supertrait (`&self`); mutation, flushes
 /// and fences stay here on `&mut self`, so the borrow checker enforces the
-/// single-writer/many-readers discipline. Concurrent writers opt out of
-/// that static guarantee explicitly via [`Pmem::write_handle`], whose
-/// [`PmemWrite`] surface shifts the disjointness obligation onto a runtime
-/// protocol (claims + CAS).
+/// single-writer/many-readers discipline: a pool has exactly one writer,
+/// and concurrent callers serialize on whatever owns the `&mut P` (the
+/// `Store`'s shard mutex).
 pub trait Pmem: PmemRead {
     /// Owning shared-read view of the same pool, for reader threads.
     type ReadHandle: PmemRead + Clone + Send + Sync + 'static;
-
-    /// Owning shared-write view of the same pool, for concurrent writer
-    /// threads running a claim/CAS protocol.
-    type WriteHandle: PmemWrite + Clone + Send + Sync + 'static;
 
     /// Returns a cloneable [`PmemRead`] handle sharing this pool's backing
     /// storage. Reads through the handle observe the writer's stores (with
     /// no ordering guarantee beyond what the caller's own protocol adds).
     fn read_handle(&self) -> Self::ReadHandle;
-
-    /// Returns a cloneable [`PmemWrite`] handle sharing this pool's backing
-    /// storage and counters. Takes `&mut self`: minting the first shared
-    /// writer is itself a write-capability operation, so a `&P` reader can
-    /// never conjure mutation rights out of a shared borrow.
-    fn write_handle(&mut self) -> Self::WriteHandle;
 
     /// Writes `data` at `off`. Volatile until flushed and fenced.
     fn write(&mut self, off: usize, data: &[u8]);

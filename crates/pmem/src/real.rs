@@ -18,7 +18,7 @@
 //! with a seqlock).
 
 use crate::stats::AtomicPmemStats;
-use crate::{Pmem, PmemRead, PmemStats, PmemWrite};
+use crate::{Pmem, PmemRead, PmemStats};
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::sync::Arc;
 use std::time::Instant;
@@ -91,11 +91,7 @@ impl RealShared {
         self.check_bounds(off, len.max(1));
     }
 
-    // ---- shared mutation core (owner + write handles) -----------------
-    //
-    // Plain writes require caller-guaranteed disjointness (a claim table
-    // or latch keeps concurrent writers on different bytes); the CAS is
-    // the one supported same-word contention point.
+    // ---- mutation core (the owning `RealPmem` only) -------------------
 
     #[inline]
     fn write_bytes(&self, off: usize, data: &[u8]) {
@@ -123,30 +119,6 @@ impl RealShared {
         }
         self.stats.note_write(8);
         self.stats.note_atomic_write();
-    }
-
-    #[inline]
-    fn cas_u64(&self, off: usize, current: u64, new: u64) -> Result<u64, u64> {
-        assert_eq!(off % 8, 0, "compare_exchange_u64 requires 8-byte alignment");
-        self.check_bounds(off, 8);
-        self.stats.note_atomic_write();
-        // SAFETY: aligned (asserted), in-bounds (checked), and the pool is
-        // cacheline-aligned so every 8-aligned offset is a valid AtomicU64
-        // location; the pool outlives the reference. AcqRel gives the
-        // claim-publish ordering the lock-free insert protocol needs.
-        let r = unsafe {
-            let p = self.ptr.add(off) as *mut std::sync::atomic::AtomicU64;
-            (*p).compare_exchange(
-                current,
-                new,
-                std::sync::atomic::Ordering::AcqRel,
-                std::sync::atomic::Ordering::Acquire,
-            )
-        };
-        if r.is_ok() {
-            self.stats.note_write(8);
-        }
-        r
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -231,20 +203,6 @@ pub struct RealPmemReader {
     shared: Arc<RealShared>,
 }
 
-/// Cloneable shared-write handle over a [`RealPmem`] pool
-/// ([`Pmem::write_handle`]).
-///
-/// Mutations go straight to the shared bytes with no internal
-/// serialization: concurrent writers must keep plain `write`s on disjoint
-/// bytes (claim table / latch), and contend only through
-/// [`PmemWrite::compare_exchange_u64`] — a genuine hardware `lock cmpxchg`
-/// on the pool word.
-#[derive(Debug, Clone)]
-pub struct RealPmemWriter {
-    shared: Arc<RealShared>,
-    extra_write_ns: u64,
-}
-
 impl RealPmem {
     /// Default emulated extra NVM write latency (the paper's 300 ns).
     pub const DEFAULT_EXTRA_WRITE_NS: u64 = 300;
@@ -314,61 +272,12 @@ impl PmemRead for RealPmemReader {
     }
 }
 
-impl PmemRead for RealPmemWriter {
-    #[inline]
-    fn read(&self, off: usize, buf: &mut [u8]) {
-        self.shared.read_into(off, buf);
-    }
-
-    fn len(&self) -> usize {
-        self.shared.len
-    }
-
-    #[inline]
-    fn prefetch(&self, off: usize, len: usize) {
-        self.shared.prefetch_lines(off, len);
-    }
-}
-
-impl PmemWrite for RealPmemWriter {
-    #[inline]
-    fn write(&self, off: usize, data: &[u8]) {
-        self.shared.write_bytes(off, data);
-    }
-
-    #[inline]
-    fn atomic_write_u64(&self, off: usize, v: u64) {
-        self.shared.atomic_store_u64(off, v);
-    }
-
-    #[inline]
-    fn compare_exchange_u64(&self, off: usize, current: u64, new: u64) -> Result<u64, u64> {
-        self.shared.cas_u64(off, current, new)
-    }
-
-    fn flush(&self, off: usize, len: usize) {
-        self.shared.flush_lines(off, len, self.extra_write_ns);
-    }
-
-    fn fence(&self) {
-        self.shared.fence_once();
-    }
-}
-
 impl Pmem for RealPmem {
     type ReadHandle = RealPmemReader;
-    type WriteHandle = RealPmemWriter;
 
     fn read_handle(&self) -> RealPmemReader {
         RealPmemReader {
             shared: Arc::clone(&self.shared),
-        }
-    }
-
-    fn write_handle(&mut self) -> RealPmemWriter {
-        RealPmemWriter {
-            shared: Arc::clone(&self.shared),
-            extra_write_ns: self.extra_write_ns,
         }
     }
 
@@ -486,54 +395,5 @@ mod tests {
         let h = p.read_handle();
         let t = std::thread::spawn(move || h.read_u64(128));
         assert_eq!(t.join().unwrap(), 4242);
-    }
-
-    #[test]
-    fn write_handle_roundtrip_and_counts() {
-        let mut p = RealPmem::with_write_latency(4096, 0);
-        let w = p.write_handle();
-        w.write_u64(64, 0xC0FFEE);
-        w.persist(64, 8);
-        assert_eq!(p.read_u64(64), 0xC0FFEE);
-        let s = p.stats();
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.flushes, 1);
-        assert_eq!(s.fences, 1);
-    }
-
-    #[test]
-    fn cas_matches_and_mismatches() {
-        let mut p = RealPmem::with_write_latency(4096, 0);
-        p.write_u64(0, 3);
-        p.reset_stats();
-        let w = p.write_handle();
-        assert_eq!(w.compare_exchange_u64(0, 3, 4), Ok(3));
-        assert_eq!(w.compare_exchange_u64(0, 3, 5), Err(4));
-        assert_eq!(p.read_u64(0), 4);
-        assert_eq!(p.stats().atomic_writes, 2, "every attempt counts");
-    }
-
-    #[test]
-    fn cas_resolves_races_between_handles() {
-        let mut p = RealPmem::with_write_latency(4096, 0);
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let w = p.write_handle();
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        loop {
-                            let cur = w.read_u64(0);
-                            if w.compare_exchange_u64(0, cur, cur + 1).is_ok() {
-                                break;
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(p.read_u64(0), 4000, "no lost increments");
     }
 }

@@ -20,34 +20,28 @@
 //! The byte buffer, operation counters, the cache/clock model, *and* the
 //! persistence model (dirty-line delta, pending flushes, crash plan, wear)
 //! live in an [`Arc`]-shared block so that [`SimPmemReader`] handles (from
-//! [`Pmem::read_handle`]) and [`SimPmemWriter`] handles (from
-//! [`Pmem::write_handle`]) can operate concurrently with the owning
-//! `SimPmem`:
+//! [`Pmem::read_handle`]) can read concurrently with the owning `SimPmem`,
+//! the pool's only writer:
 //!
 //! * counters are `Relaxed` atomics;
 //! * the persistence model sits behind its own mutex, taken by every
-//!   mutation (owner or write handle). This serializes the *accounting* of
-//!   concurrent writers — acceptable for a simulator, and exactly what
-//!   makes `compare_exchange_u64` atomic here — while the pool bytes
-//!   themselves are still copied through raw pointers;
+//!   mutation and by the crash machinery;
 //! * the cache hierarchy + simulated clock sit behind a second mutex,
-//!   always acquired *after* the persistence mutex (lock order). Owners
-//!   and write handles take it unconditionally (deterministic accounting);
-//!   reader handles only `try_lock` and skip the model under contention
-//!   (counted), because a shared cache model is not meaningful mid-race;
+//!   always acquired *after* the persistence mutex (lock order). The owner
+//!   takes it unconditionally (deterministic accounting); reader handles
+//!   only `try_lock` and skip the model under contention (counted),
+//!   because a shared cache model is not meaningful mid-race;
 //! * buffer bytes are copied through raw pointers, never via references
 //!   that could alias a concurrent writer. A read racing a write may be
 //!   torn — callers validate (seqlock / occupancy-bit recheck) before
 //!   trusting racy reads.
 //!
-//! Exactly one `SimPmem` owns each shared block (`clone` deep-copies);
-//! write handles opt into shared mutation explicitly and shift the
-//! disjointness obligation onto the caller's claim/CAS protocol.
+//! Exactly one `SimPmem` owns each shared block (`clone` deep-copies).
 
 use crate::clock::{LatencyModel, SimClock};
 use crate::crash::{CrashPlan, CrashResolution, CrashSignal};
 use crate::stats::AtomicPmemStats;
-use crate::{Pmem, PmemRead, PmemStats, PmemWrite};
+use crate::{Pmem, PmemRead, PmemStats};
 use nvm_cachesim::{AccessKind, CacheConfig, CacheHierarchy, CacheStats, LINE_BYTES};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,8 +108,8 @@ struct Model {
 }
 
 /// The persistence model: everything a mutation consults or updates.
-/// Shared (behind a mutex) so write handles and the owner interleave with
-/// one coherent view of what is durable.
+/// Behind a mutex so the crash machinery and reader handles see one
+/// coherent view of what is durable.
 #[derive(Clone)]
 struct PersistState {
     lines: BTreeMap<u64, LineState>,
@@ -162,11 +156,10 @@ impl PersistState {
     }
 }
 
-/// State shared between the owning [`SimPmem`], its [`SimPmemReader`]s and
-/// its [`SimPmemWriter`]s.
+/// State shared between the owning [`SimPmem`] and its [`SimPmemReader`]s.
 struct Shared {
     /// Heap buffer of `len` bytes; accessed only through raw-pointer
-    /// copies so handles can run concurrently with mutators.
+    /// copies so reader handles can run concurrently with the owner.
     ptr: *mut u8,
     len: usize,
     stats: AtomicPmemStats,
@@ -178,10 +171,10 @@ struct Shared {
     contended_reads: AtomicU64,
 }
 
-// SAFETY: the buffer is only mutated under the persistence mutex (owner and
-// write handles both route every store through it); reader handles perform
-// raw-pointer copies that tolerate (and are validated against) torn data.
-// All other shared state is atomic or mutex-protected.
+// SAFETY: the buffer is only mutated by the owner, under the persistence
+// mutex; reader handles perform raw-pointer copies that tolerate (and are
+// validated against) torn data. All other shared state is atomic or
+// mutex-protected.
 unsafe impl Send for Shared {}
 unsafe impl Sync for Shared {}
 
@@ -259,8 +252,7 @@ impl Shared {
     }
 
     /// Raw copy into the buffer. Mutator-only: reached with the
-    /// persistence mutex held (owner path and write handles alike), so
-    /// there is exactly one mutator at a time.
+    /// persistence mutex held, so there is exactly one mutator at a time.
     #[inline]
     fn copy_in(&self, off: usize, data: &[u8]) {
         // SAFETY: in-bounds (caller checked); serialized by the
@@ -330,7 +322,7 @@ impl Shared {
         }
     }
 
-    // ---- shared mutation core (owner + write handles) -----------------
+    // ---- mutation core (the owning `SimPmem` only) -------------------
 
     /// Plain store: mutation event, cache charge, dirty marking, copy-in.
     fn do_write(&self, off: usize, data: &[u8], latency: &LatencyModel) {
@@ -349,35 +341,6 @@ impl Shared {
         assert_eq!(off % 8, 0, "atomic_write_u64 requires 8-byte alignment");
         self.do_write(off, &v.to_le_bytes(), latency);
         self.stats.note_atomic_write();
-    }
-
-    /// Compare-and-swap of an aligned word. Atomic across every owner and
-    /// write-handle mutation because all of them serialize on the
-    /// persistence mutex. Every attempt is one mutation event and one
-    /// atomic write in the stats; only a winning attempt dirties the word.
-    fn do_cas(
-        &self,
-        off: usize,
-        current: u64,
-        new: u64,
-        latency: &LatencyModel,
-    ) -> Result<u64, u64> {
-        assert_eq!(off % 8, 0, "compare_exchange_u64 requires 8-byte alignment");
-        self.check_bounds(off, 8);
-        let mut st = self.persist_state();
-        st.mutation_event();
-        self.charge_access(off, 8, AccessKind::Write, latency, true);
-        self.stats.note_atomic_write();
-        let observed = u64::from_le_bytes(self.read_word(off));
-        if observed != current {
-            return Err(observed);
-        }
-        for line in line_range(off, 8) {
-            st.mark_dirty(self, line, off, 8);
-        }
-        self.copy_in(off, &new.to_le_bytes());
-        self.stats.note_write(8);
-        Ok(observed)
     }
 
     fn do_flush(&self, off: usize, len: usize, latency: &LatencyModel) {
@@ -473,37 +436,6 @@ impl std::fmt::Debug for SimPmemReader {
     }
 }
 
-/// Cloneable shared-write handle over a [`SimPmem`] pool
-/// ([`Pmem::write_handle`]).
-///
-/// Every mutation serializes on the pool's persistence mutex, which is
-/// what makes [`PmemWrite::compare_exchange_u64`] genuinely atomic against
-/// every other mutator (owner included) and keeps the durability model
-/// coherent under concurrent writers. Callers must still keep plain
-/// `write`s disjoint — the simulator serializes the bookkeeping, not the
-/// caller's protocol.
-pub struct SimPmemWriter {
-    shared: Arc<Shared>,
-    latency: LatencyModel,
-}
-
-impl Clone for SimPmemWriter {
-    fn clone(&self) -> Self {
-        SimPmemWriter {
-            shared: Arc::clone(&self.shared),
-            latency: self.latency,
-        }
-    }
-}
-
-impl std::fmt::Debug for SimPmemWriter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimPmemWriter")
-            .field("len", &self.shared.len)
-            .finish_non_exhaustive()
-    }
-}
-
 impl std::fmt::Debug for SimPmem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimPmem")
@@ -516,7 +448,7 @@ impl std::fmt::Debug for SimPmem {
 impl Clone for SimPmem {
     /// Deep copy: the clone gets its own buffer, counters, cache model,
     /// clock and persistence model, fully independent of the original (and
-    /// of the original's read/write handles).
+    /// of the original's read handles).
     fn clone(&self) -> Self {
         let mut bytes = vec![0u8; self.shared.len].into_boxed_slice();
         self.shared.copy_out(0, &mut bytes);
@@ -570,7 +502,7 @@ impl SimPmem {
         self.shared.persist_state().plan = plan;
     }
 
-    /// Mutation events executed so far (owner and write handles alike).
+    /// Mutation events executed so far.
     pub fn events(&self) -> u64 {
         self.shared.persist_state().events
     }
@@ -657,13 +589,12 @@ impl SimPmem {
 
     /// Read-only view of the CPU-visible contents, bypassing the cache
     /// model and statistics. For tests and oracles only: the borrow of
-    /// `self` keeps the (unique) owner out for its duration, but reads
-    /// through live [`SimPmemReader`]/[`SimPmemWriter`] handles on other
-    /// threads are not synchronized with it.
+    /// `self` keeps the (unique) owner out for its duration; reads
+    /// through live [`SimPmemReader`] handles on other threads are not
+    /// synchronized with it.
     pub fn raw(&self) -> &[u8] {
-        // SAFETY: mutation through the owner requires `&mut SimPmem`,
-        // which this shared borrow excludes; callers keep handle writers
-        // quiescent by protocol.
+        // SAFETY: mutation requires `&mut SimPmem`, which this shared
+        // borrow excludes.
         unsafe { std::slice::from_raw_parts(self.shared.ptr, self.shared.len) }
     }
 
@@ -777,62 +708,11 @@ impl PmemRead for SimPmemReader {
     }
 }
 
-impl PmemRead for SimPmemWriter {
-    fn read(&self, off: usize, buf: &mut [u8]) {
-        self.shared.check_bounds(off, buf.len());
-        // Writers block like the owner: their accounting stays
-        // deterministic in single-writer runs (budget pinning).
-        self.shared
-            .charge_access(off, buf.len(), AccessKind::Read, &self.latency, true);
-        self.shared.copy_out(off, buf);
-        self.shared.stats.note_read(buf.len() as u64);
-    }
-
-    fn len(&self) -> usize {
-        self.shared.len
-    }
-
-    fn prefetch(&self, off: usize, len: usize) {
-        self.shared.check_bounds(off, len.max(1));
-        self.shared.charge_prefetch(off, len, &self.latency, true);
-    }
-}
-
-impl PmemWrite for SimPmemWriter {
-    fn write(&self, off: usize, data: &[u8]) {
-        self.shared.do_write(off, data, &self.latency);
-    }
-
-    fn atomic_write_u64(&self, off: usize, v: u64) {
-        self.shared.do_atomic_write(off, v, &self.latency);
-    }
-
-    fn compare_exchange_u64(&self, off: usize, current: u64, new: u64) -> Result<u64, u64> {
-        self.shared.do_cas(off, current, new, &self.latency)
-    }
-
-    fn flush(&self, off: usize, len: usize) {
-        self.shared.do_flush(off, len, &self.latency);
-    }
-
-    fn fence(&self) {
-        self.shared.do_fence(&self.latency);
-    }
-}
-
 impl Pmem for SimPmem {
     type ReadHandle = SimPmemReader;
-    type WriteHandle = SimPmemWriter;
 
     fn read_handle(&self) -> SimPmemReader {
         SimPmemReader {
-            shared: Arc::clone(&self.shared),
-            latency: self.latency,
-        }
-    }
-
-    fn write_handle(&mut self) -> SimPmemWriter {
-        SimPmemWriter {
             shared: Arc::clone(&self.shared),
             latency: self.latency,
         }
@@ -1206,86 +1086,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(p.stats().reads, 4 * 100 * 64);
-    }
-
-    // ---- write-handle semantics ---------------------------------------
-
-    #[test]
-    fn write_handle_mutations_share_durability_model_with_owner() {
-        let mut p = pool();
-        let w = p.write_handle();
-        w.write_u64(0, 0xAAAA);
-        // Not yet flushed: the owner's crash drops it.
-        p.crash(CrashResolution::DropUnflushed);
-        assert_eq!(p.read_u64(0), 0);
-
-        let w = p.write_handle();
-        w.write_u64(0, 0xBBBB);
-        w.persist(0, 8);
-        p.crash(CrashResolution::DropUnflushed);
-        assert_eq!(p.read_u64(0), 0xBBBB, "handle persist is durable");
-    }
-
-    #[test]
-    fn cas_swaps_only_on_match_and_counts_attempts() {
-        let mut p = pool();
-        p.write_u64(64, 5);
-        p.reset_stats();
-        let w = p.write_handle();
-        assert_eq!(w.compare_exchange_u64(64, 5, 9), Ok(5));
-        assert_eq!(p.read_u64(64), 9);
-        assert_eq!(w.compare_exchange_u64(64, 5, 11), Err(9));
-        assert_eq!(p.read_u64(64), 9, "failed CAS must not store");
-        let s = p.stats();
-        assert_eq!(s.atomic_writes, 2, "every CAS attempt counts");
-        assert_eq!(s.bytes_written, 8, "only the winning CAS stores");
-    }
-
-    #[test]
-    #[should_panic(expected = "8-byte alignment")]
-    fn misaligned_cas_panics() {
-        let mut p = pool();
-        let w = p.write_handle();
-        let _ = w.compare_exchange_u64(4, 0, 1);
-    }
-
-    #[test]
-    fn cas_is_atomic_across_concurrent_handles() {
-        let mut p = SimPmem::new(4096, SimConfig::fast_test());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let w = p.write_handle();
-                std::thread::spawn(move || {
-                    // Lock-free counter: each thread adds 1000 via CAS loops.
-                    for _ in 0..1000 {
-                        loop {
-                            let cur = w.read_u64(0);
-                            if w.compare_exchange_u64(0, cur, cur + 1).is_ok() {
-                                break;
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(p.read_u64(0), 4000, "no lost increments");
-    }
-
-    #[test]
-    fn crash_plan_fires_on_write_handle_events_too() {
-        let mut p = pool();
-        p.set_crash_plan(Some(CrashPlan { at_event: 1 }));
-        let w = p.write_handle();
-        let r = run_with_crash(|| {
-            w.write_u64(0, 1); // event 0
-            w.write_u64(8, 2); // event 1 -> crash before applying
-            unreachable!()
-        });
-        assert_eq!(r.unwrap_err().at_event, 1);
-        assert_eq!(p.read_u64(0), 1);
-        assert_eq!(p.read_u64(8), 0);
     }
 }

@@ -8,7 +8,7 @@
 //! of 512 cells, which is exactly the contiguity the group-sharing design
 //! wants.
 
-use nvm_pmem::{Pmem, PmemRead, PmemWrite, Region};
+use nvm_pmem::{Pmem, PmemRead, Region};
 
 /// A fixed-size bitset in persistent memory, one bit per table cell.
 #[derive(Debug, Clone, Copy)]
@@ -102,34 +102,6 @@ impl PmemBitmap {
             w & !(1 << (idx % 64))
         };
         pm.atomic_write_u64(off, nw);
-    }
-
-    /// Lock-free variant of [`PmemBitmap::set_and_persist`] for shared
-    /// writers: flips bit `idx` with a CAS loop on its containing word and
-    /// persists the word. Neighbouring bits written concurrently by other
-    /// writers survive — each lost race re-reads the word and retries.
-    ///
-    /// Returns the number of *lost* CAS attempts (0 on an uncontended
-    /// flip). The winning attempt is the commit point; callers must hold
-    /// the cell's claim so no two writers flip the *same* bit.
-    #[inline]
-    pub fn cas_bit_and_persist<W: PmemWrite>(&self, w: &W, idx: u64, value: bool) -> u64 {
-        let off = self.word_off(idx);
-        let mask = 1u64 << (idx % 64);
-        let mut cur = w.read_u64(off);
-        let mut failures = 0;
-        loop {
-            let nw = if value { cur | mask } else { cur & !mask };
-            match w.compare_exchange_u64(off, cur, nw) {
-                Ok(_) => break,
-                Err(actual) => {
-                    failures += 1;
-                    cur = actual;
-                }
-            }
-        }
-        w.persist(off, 8);
-        failures
     }
 
     /// Pool offset of the word containing bit `idx` (for undo logging).

@@ -1,36 +1,29 @@
 //! The persistent table header — the paper's *Global info* block.
 //!
-//! Two cachelines. The first holds, in order: a magic word (scheme
-//! identity + format version), the hash seed, the occupied-cell `count`,
-//! and up to five scheme-specific geometry words (e.g. `table_size`,
-//! `group_size`). The second holds the online-expansion state: the
-//! persisted *migration cursor* (next source cell the drainer will visit)
-//! and a migration-active flag — on its own cacheline so cursor persists
-//! during a migration never contend with the count word's.
+//! One cacheline holding, in order: a magic word (scheme identity +
+//! format version), the hash seed, the occupied-cell `count`, and up to
+//! five scheme-specific geometry words (e.g. `table_size`, `group_size`).
 //!
 //! `count` follows the paper's discipline exactly: it is modified with an
 //! 8-byte atomic store and persisted immediately (`AtomicInc(count);
 //! Persist(count)` in Algorithms 1 and 3). After a crash it may lag the
 //! bitmap by at most one operation, which recovery repairs by recounting.
-//! Under concurrent writers the same word is maintained with a CAS loop
-//! ([`TableHeader::inc_count_shared`]) — still one atomic write + one
-//! persist per uncontended op.
+//! A table has exactly one writer (`&mut` pool access), so a plain
+//! read-then-store increment never loses an update.
 
 use crate::TableError;
-use nvm_pmem::{Pmem, PmemRead, PmemWrite, Region, CACHELINE};
+use nvm_pmem::{Pmem, PmemRead, Region, CACHELINE};
 
 const OFF_MAGIC: usize = 0;
 const OFF_SEED: usize = 8;
 const OFF_COUNT: usize = 16;
 const OFF_GEO: usize = 24;
-const OFF_CURSOR: usize = CACHELINE;
-const OFF_MIG_ACTIVE: usize = CACHELINE + 8;
 
 /// Number of scheme-specific geometry slots.
 pub const GEO_SLOTS: usize = 5;
 
-/// Header region size (two cachelines: globals + migration state).
-const HEADER_LEN: usize = 2 * CACHELINE;
+/// Header region size (one cacheline).
+const HEADER_LEN: usize = CACHELINE;
 
 /// A table header at a fixed pool region.
 #[derive(Debug, Clone, Copy)]
@@ -60,8 +53,6 @@ impl TableHeader {
         for (i, &g) in geometry.iter().enumerate() {
             pm.write_u64(region.off + OFF_GEO + i * 8, g);
         }
-        pm.write_u64(region.off + OFF_CURSOR, 0);
-        pm.write_u64(region.off + OFF_MIG_ACTIVE, 0);
         pm.persist(region.off, HEADER_LEN);
         // Magic goes last: a header is valid only once fully initialized.
         pm.atomic_write_u64(region.off + OFF_MAGIC, magic);
@@ -122,69 +113,6 @@ impl TableHeader {
     /// Pool offset of the `count` word (for undo logging).
     pub fn count_off(&self) -> usize {
         self.region.off + OFF_COUNT
-    }
-
-    /// Shared-writer `AtomicInc(count); Persist(count)`: a CAS loop keeps
-    /// concurrent increments exact where a blind store would lose updates.
-    /// Returns lost CAS attempts (0 uncontended — then the cost is
-    /// identical to [`TableHeader::inc_count`]: 1 atomic, 1 flush, 1
-    /// fence).
-    pub fn inc_count_shared<W: PmemWrite>(&self, w: &W) -> u64 {
-        let off = self.region.off + OFF_COUNT;
-        let mut c = w.read_u64(off);
-        let mut failures = 0;
-        while let Err(actual) = w.compare_exchange_u64(off, c, c + 1) {
-            failures += 1;
-            c = actual;
-        }
-        w.persist(off, 8);
-        failures
-    }
-
-    /// Shared-writer `AtomicDec(count); Persist(count)` (CAS loop).
-    pub fn dec_count_shared<W: PmemWrite>(&self, w: &W) -> u64 {
-        let off = self.region.off + OFF_COUNT;
-        let mut c = w.read_u64(off);
-        let mut failures = 0;
-        loop {
-            assert!(c > 0, "count underflow");
-            match w.compare_exchange_u64(off, c, c - 1) {
-                Ok(_) => break,
-                Err(actual) => {
-                    failures += 1;
-                    c = actual;
-                }
-            }
-        }
-        w.persist(off, 8);
-        failures
-    }
-
-    /// The persisted migration cursor: cells `< cursor` of this table
-    /// have been drained into the expansion target.
-    pub fn migration_cursor<R: PmemRead>(&self, pm: &R) -> u64 {
-        pm.read_u64(self.region.off + OFF_CURSOR)
-    }
-
-    /// Advances (or resets) the migration cursor, atomically + persisted:
-    /// the cursor is the recovery watermark, so it must never run ahead
-    /// of the moves it describes — callers persist each move first.
-    pub fn set_migration_cursor<P: Pmem>(&self, pm: &mut P, cursor: u64) {
-        pm.atomic_write_u64(self.region.off + OFF_CURSOR, cursor);
-        pm.persist(self.region.off + OFF_CURSOR, 8);
-    }
-
-    /// True while an online expansion is draining this table.
-    pub fn migration_active<R: PmemRead>(&self, pm: &R) -> bool {
-        pm.read_u64(self.region.off + OFF_MIG_ACTIVE) != 0
-    }
-
-    /// Sets/clears the migration-active flag (atomic + persisted). Set
-    /// *before* the first move, cleared *after* the last: a crash inside
-    /// the window is then self-announcing to recovery.
-    pub fn set_migration_active<P: Pmem>(&self, pm: &mut P, active: bool) {
-        pm.atomic_write_u64(self.region.off + OFF_MIG_ACTIVE, active as u64);
-        pm.persist(self.region.off + OFF_MIG_ACTIVE, 8);
     }
 
     /// The header's region.
@@ -252,54 +180,6 @@ mod tests {
         let h = TableHeader::open(&mut pm, r, MAGIC).unwrap();
         assert_eq!(h.seed(&pm), 9);
         assert_eq!(h.geometry(&pm, 0), 5);
-    }
-
-    #[test]
-    fn shared_count_matches_exclusive_and_is_exact_under_races() {
-        let mut pm = pool();
-        let h = TableHeader::create(&mut pm, Region::new(0, 128), MAGIC, 0, &[]);
-        let w = pm.write_handle();
-        pm.reset_stats();
-        assert_eq!(h.inc_count_shared(&w), 0);
-        let st = pm.stats();
-        assert_eq!((st.flushes, st.fences, st.atomic_writes), (1, 1, 1));
-        assert_eq!(h.count(&pm), 1);
-        assert_eq!(h.dec_count_shared(&w), 0);
-        assert_eq!(h.count(&pm), 0);
-
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let w = pm.write_handle();
-                std::thread::spawn(move || {
-                    let h = h;
-                    for _ in 0..500 {
-                        h.inc_count_shared(&w);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(h.count(&pm), 2000, "no lost increments");
-    }
-
-    #[test]
-    fn migration_cursor_and_flag_roundtrip_and_survive_crash() {
-        let mut pm = pool();
-        let r = Region::new(0, 128);
-        let h = TableHeader::create(&mut pm, r, MAGIC, 0, &[4]);
-        assert_eq!(h.migration_cursor(&pm), 0);
-        assert!(!h.migration_active(&pm));
-        h.set_migration_active(&mut pm, true);
-        h.set_migration_cursor(&mut pm, 37);
-        pm.crash(CrashResolution::DropUnflushed);
-        let h = TableHeader::open(&mut pm, r, MAGIC).unwrap();
-        assert_eq!(h.migration_cursor(&pm), 37);
-        assert!(h.migration_active(&pm));
-        h.set_migration_active(&mut pm, false);
-        h.set_migration_cursor(&mut pm, 0);
-        assert!(!h.migration_active(&pm));
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //!   program against;
 //! * [`ConsistencyMode`] — whether a baseline wraps updates in the undo log
 //!   (the paper's `-L` variants) or runs bare;
-//! * [`CellClaims`], [`MetaWords`] and [`SeqLock`] — the DRAM-only
-//!   concurrency and filter primitives (cell claims for lock-free writers,
-//!   8-lane fingerprint tag words, and the one sequence lock every
-//!   optimistic reader validates against).
+//! * [`MetaWords`] and [`SeqLock`] — the DRAM-only filter and
+//!   concurrency primitives (8-lane fingerprint tag words, and the one
+//!   sequence lock every optimistic reader validates against).
 //!
 //! On top of those primitives the crate defines the three-layer split every
 //! scheme is built as (see DESIGN.md § "Layered architecture"):
@@ -38,13 +37,11 @@
 
 mod bitmap;
 mod cells;
-mod claims;
 pub mod crashtest;
 mod error;
 mod header;
 mod journal;
 pub mod meta;
-mod migrate;
 pub mod probe;
 mod scheme;
 mod seqlock;
@@ -52,14 +49,10 @@ mod store;
 
 pub use bitmap::PmemBitmap;
 pub use cells::CellArray;
-pub use claims::CellClaims;
 pub use error::TableError;
 pub use header::TableHeader;
 pub use journal::Journal;
 pub use meta::MetaWords;
-pub use migrate::{
-    migrate_recover, migrate_recover_split, migrate_step, migrate_step_same_pool, MigrationSource,
-};
 pub use scheme::{BatchError, ConsistencyMode, HashScheme, InsertError, OpKind};
 pub use seqlock::{SeqLock, SeqWriteGuard};
-pub use store::{BatchSession, CellStore, TryPublish, TryRetract};
+pub use store::{BatchSession, CellStore};

@@ -20,8 +20,8 @@
 //! holds both guards declares the sequence guard *before* the latch
 //! guard, since fields drop in declaration order.
 //!
-//! Like [`CellClaims`](crate::CellClaims) this is pure DRAM
-//! synchronization — it carries no durability and never names the pool.
+//! This is pure DRAM synchronization — it carries no durability and
+//! never names the pool.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 

@@ -17,10 +17,7 @@ use nvm_baselines::{Iceberg, LinearProbing, MetaMode, PathHash, Pfht};
 use nvm_pmem::{
     run_with_crash, CrashPlan, CrashResolution, Pmem, PmemRead, Region, SimConfig, SimPmem,
 };
-use nvm_table::{
-    migrate_recover, migrate_step_same_pool, ConsistencyMode, HashScheme, InsertError,
-    MigrationSource,
-};
+use nvm_table::{ConsistencyMode, HashScheme, InsertError};
 
 const MODES: [ConsistencyMode; 2] = [ConsistencyMode::None, ConsistencyMode::UndoLog];
 
@@ -428,82 +425,6 @@ fn crash_remove_batch<S: HashScheme<SimPmem, u64, u64>>(
             );
         },
     );
-}
-
-/// Crash-at-every-event conformance for incremental online migration.
-///
-/// `mk_pair` builds source and destination tables of the same scheme in
-/// one pool (the destination at least as large); `open_pair` re-opens
-/// both. The driver seeds the source, then for every pmem event of a full
-/// bounded-step drain: crash there, re-open, run both tables' own
-/// `recover`, then [`migrate_recover`]'s dedup pass, and assert
-///
-/// * both tables satisfy their structural invariants,
-/// * every committed key is visible in **exactly one** table with its
-///   exact value (the move choreography can duplicate across the crash,
-///   never lose; dedup removes the duplicate),
-/// * resuming the drain from the persisted cursor finishes and lands all
-///   keys in the destination.
-fn crash_migration<S: MigrationSource<SimPmem, u64, u64>>(
-    mk_pair: impl Fn() -> (SimPmem, S, S),
-    open_pair: impl Fn(&mut SimPmem) -> (S, S),
-) {
-    let (mut pm0, mut src0, _dst0) = mk_pair();
-    for k in 0..20u64 {
-        src0.insert(&mut pm0, k, k + 100).unwrap();
-    }
-    let label = src0.name();
-    drop(src0);
-
-    for at in 0u64.. {
-        assert!(at < 16384, "{label}: migration crash loop never finished");
-        let mut pm = pm0.clone();
-        let (mut src, mut dst) = open_pair(&mut pm);
-        let base = pm.events();
-        pm.set_crash_plan(Some(CrashPlan { at_event: base + at }));
-        let done = run_with_crash(|| {
-            while !migrate_step_same_pool(&mut pm, &mut src, &mut dst, 4) {}
-        })
-        .is_ok();
-        if done {
-            break;
-        }
-        pm.crash(CrashResolution::Random(at));
-
-        let (mut src, mut dst) = open_pair(&mut pm);
-        src.recover(&mut pm);
-        dst.recover(&mut pm);
-        let deduped = migrate_recover(&mut pm, &mut src, &dst);
-        src.check_consistency(&pm)
-            .unwrap_or_else(|e| panic!("{label}: src after crash at +{at}: {e}"));
-        dst.check_consistency(&pm)
-            .unwrap_or_else(|e| panic!("{label}: dst after crash at +{at}: {e}"));
-        assert!(deduped <= 1, "{label}: {deduped} duplicates at +{at}");
-        for k in 0..20u64 {
-            let s = src.get(&pm, &k);
-            let d = dst.get(&pm, &k);
-            assert!(
-                s.is_some() != d.is_some(),
-                "{label}: key {k} in {} tables after recovery at +{at}",
-                if s.is_some() { "both" } else { "neither" }
-            );
-            assert_eq!(s.or(d), Some(k + 100), "{label}: key {k} torn at +{at}");
-        }
-        assert_eq!(src.len(&pm) + dst.len(&pm), 20, "{label}: counts at +{at}");
-
-        // The persisted cursor lets the drain resume where it stopped.
-        while !migrate_step_same_pool(&mut pm, &mut src, &mut dst, 4) {}
-        assert_eq!(src.len(&pm), 0, "{label}: src not drained at +{at}");
-        assert_eq!(dst.len(&pm), 20, "{label}: dst incomplete at +{at}");
-        assert!(!src.migration_active(&pm), "{label}: flag stuck at +{at}");
-        for k in 0..20u64 {
-            assert_eq!(dst.get(&pm, &k), Some(k + 100), "{label}: key {k} at +{at}");
-        }
-        src.check_consistency(&pm)
-            .unwrap_or_else(|e| panic!("{label}: src after resume at +{at}: {e}"));
-        dst.check_consistency(&pm)
-            .unwrap_or_else(|e| panic!("{label}: dst after resume at +{at}: {e}"));
-    }
 }
 
 /// Vectorized reads: `get_batch` must equal N sequential `get`s — same
@@ -1011,153 +932,5 @@ fn iceberg_get_batch_matches_gets() {
             let (mut pm, mut t) = iceberg_pool_meta(mode, 256, meta);
             get_batch_matches_gets(&mut pm, &mut t);
         }
-    }
-}
-
-// ------------------------------------------------- online migration crashes
-
-/// Source + double-sized destination in one pool, for [`crash_migration`].
-fn group_migration_pair(
-    mode: ConsistencyMode,
-) -> (SimPmem, GroupHash<SimPmem, u64, u64>, GroupHash<SimPmem, u64, u64>) {
-    let commit = match mode {
-        ConsistencyMode::None => CommitStrategy::AtomicBitmap,
-        ConsistencyMode::UndoLog => CommitStrategy::UndoLog,
-    };
-    let cfg = GroupHashConfig::new(64, 16).with_commit(commit);
-    let big = GroupHashConfig::new(128, 16).with_seed(cfg.seed).with_commit(commit);
-    let a = GroupHash::<SimPmem, u64, u64>::required_size(&cfg);
-    let b = GroupHash::<SimPmem, u64, u64>::required_size(&big);
-    let mut pm = SimPmem::new(a + b + 128, SimConfig::fast_test());
-    let src = GroupHash::create(&mut pm, Region::new(0, a), cfg).unwrap();
-    let dst = GroupHash::create(&mut pm, Region::new(a, b + 128), big).unwrap();
-    (pm, src, dst)
-}
-
-#[test]
-fn group_crash_migration() {
-    for mode in MODES {
-        let cfg = GroupHashConfig::new(64, 16);
-        let a = GroupHash::<SimPmem, u64, u64>::required_size(&cfg);
-        crash_migration(
-            || group_migration_pair(mode),
-            move |pm| {
-                let len = pm.len();
-                let src = GroupHash::open(pm, Region::new(0, a)).unwrap();
-                let dst = GroupHash::open(pm, Region::new(a, len - a)).unwrap();
-                (src, dst)
-            },
-        );
-    }
-}
-
-#[test]
-fn linear_crash_migration() {
-    for mode in MODES {
-        let a = LinearProbing::<SimPmem, u64, u64>::required_size(64);
-        let b = LinearProbing::<SimPmem, u64, u64>::required_size(128);
-        crash_migration(
-            move || {
-                let mut pm = SimPmem::new(a + b + 128, SimConfig::fast_test());
-                let src =
-                    LinearProbing::create(&mut pm, Region::new(0, a), 64, 7, mode).unwrap();
-                let dst =
-                    LinearProbing::create(&mut pm, Region::new(a, b + 128), 128, 7, mode)
-                        .unwrap();
-                (pm, src, dst)
-            },
-            move |pm| {
-                let len = pm.len();
-                let src = LinearProbing::open(pm, Region::new(0, a)).unwrap();
-                let dst = LinearProbing::open(pm, Region::new(a, len - a)).unwrap();
-                (src, dst)
-            },
-        );
-    }
-}
-
-#[test]
-fn pfht_crash_migration() {
-    for mode in MODES {
-        let a = Pfht::<SimPmem, u64, u64>::required_size(16, 4);
-        let b = Pfht::<SimPmem, u64, u64>::required_size(32, 8);
-        crash_migration(
-            move || {
-                let mut pm = SimPmem::new(a + b + 128, SimConfig::fast_test());
-                let src = Pfht::create(&mut pm, Region::new(0, a), 16, 4, 7, mode).unwrap();
-                let dst =
-                    Pfht::create(&mut pm, Region::new(a, b + 128), 32, 8, 7, mode).unwrap();
-                (pm, src, dst)
-            },
-            move |pm| {
-                let len = pm.len();
-                let src = Pfht::open(pm, Region::new(0, a)).unwrap();
-                let dst = Pfht::open(pm, Region::new(a, len - a)).unwrap();
-                (src, dst)
-            },
-        );
-    }
-}
-
-#[test]
-fn iceberg_crash_migration() {
-    for mode in MODES {
-        let sg = Iceberg::<SimPmem, u64, u64>::geometry_for(64);
-        let dg = Iceberg::<SimPmem, u64, u64>::geometry_for(128);
-        let a = Iceberg::<SimPmem, u64, u64>::required_size(sg.0, sg.1, sg.2);
-        let b = Iceberg::<SimPmem, u64, u64>::required_size(dg.0, dg.1, dg.2);
-        crash_migration(
-            move || {
-                let mut pm = SimPmem::new(a + b + 128, SimConfig::fast_test());
-                let src = Iceberg::create(
-                    &mut pm,
-                    Region::new(0, a),
-                    sg,
-                    7,
-                    mode,
-                    MetaMode::On,
-                )
-                .unwrap();
-                let dst = Iceberg::create(
-                    &mut pm,
-                    Region::new(a, b + 128),
-                    dg,
-                    7,
-                    mode,
-                    MetaMode::On,
-                )
-                .unwrap();
-                (pm, src, dst)
-            },
-            move |pm| {
-                let src = Iceberg::open(pm, Region::new(0, a)).unwrap();
-                let dst = Iceberg::open(pm, Region::new(a, b + 128)).unwrap();
-                (src, dst)
-            },
-        );
-    }
-}
-
-#[test]
-fn path_crash_migration() {
-    for mode in MODES {
-        let a = PathHash::<SimPmem, u64, u64>::required_size(6, 4);
-        let b = PathHash::<SimPmem, u64, u64>::required_size(7, 4);
-        crash_migration(
-            move || {
-                let mut pm = SimPmem::new(a + b + 128, SimConfig::fast_test());
-                let src =
-                    PathHash::create(&mut pm, Region::new(0, a), 6, 4, 7, mode).unwrap();
-                let dst =
-                    PathHash::create(&mut pm, Region::new(a, b + 128), 7, 4, 7, mode).unwrap();
-                (pm, src, dst)
-            },
-            move |pm| {
-                let len = pm.len();
-                let src = PathHash::open(pm, Region::new(0, a)).unwrap();
-                let dst = PathHash::open(pm, Region::new(a, len - a)).unwrap();
-                (src, dst)
-            },
-        );
     }
 }
